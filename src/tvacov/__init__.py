@@ -11,7 +11,14 @@ approximation.
 
 __version__ = "0.1.0"
 
-from .acov import AcovEstimate, estimate_gamma0, estimate_gammak, naive_estimate
+from .acov import (
+    AcovEstimate,
+    LagEstimate,
+    estimate_gamma0,
+    estimate_gammak,
+    estimate_lags,
+    naive_estimate,
+)
 from .diffseries import (
     DifferenceSeries,
     LagSelection,
@@ -89,6 +96,7 @@ __all__ = [
     "GridAlignmentError",
     "InvalidLagError",
     "Kernel",
+    "LagEstimate",
     "LagSelection",
     "LinearProcess",
     "LongRunCovCurve",
@@ -117,6 +125,7 @@ __all__ = [
     "epanechnikov",
     "estimate_gamma0",
     "estimate_gammak",
+    "estimate_lags",
     "fit_curve",
     "gcv_bandwidth",
     "generate",

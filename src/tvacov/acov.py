@@ -11,10 +11,14 @@ Trends never enter except through the ~lag-many points straddling each level
 shift, which is what makes these estimates jump-robust. The classical
 residual-based estimator is provided for comparison; it inherits the full
 bias of a smoothed trend fit.
+
+`estimate_lags` runs the whole per-lag chain behind a band: bandwidth,
+estimate, residuals, blocks, long-run covariance and band scales.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,14 +26,24 @@ import numpy as np
 from .diffseries import difference
 from .errors import ConfigurationError, InvalidLagError
 from .kernels import Kernel
-from .locallinear import CurveOnGrid, fit_curve, interior_grid
+from .locallinear import CurveOnGrid, fit_curve, interior_grid, unit_grid
+from .lrv import (
+    ResidualPair,
+    SigmaFunctionals,
+    _fitted_difference,
+    _residual_pair,
+    lrv_curve,
+    sigma_functionals,
+)
 from .procgen import TimeSeries
-from .tuning import gcv_bandwidth
+from .tuning import gcv_bandwidth, min_volatility
 
 __all__ = [
     "AcovEstimate",
+    "LagEstimate",
     "estimate_gamma0",
     "estimate_gammak",
+    "estimate_lags",
     "naive_estimate",
 ]
 
@@ -60,6 +74,65 @@ class AcovEstimate:
             raise ConfigurationError("working length must be >= 2")
 
 
+@dataclass(frozen=True)
+class LagEstimate:
+    """One lag's curve estimate, its band scales, and the block parameters
+    (m, tau) of the long-run covariance behind them."""
+
+    estimate: AcovEstimate
+    sigma: SigmaFunctionals
+    m: int
+    tau: float
+
+    @property
+    def b(self) -> float:
+        return self.estimate.bandwidth
+
+    @property
+    def scale(self) -> CurveOnGrid:
+        """The band scale: sigma_h at lag 0, sigma_{C,k} at lag k."""
+        if self.estimate.lag == 0:
+            return self.sigma.sigma_h
+        return self.sigma.sigma_ck
+
+
+def _interior(fitted: np.ndarray, b: float) -> CurveOnGrid:
+    """A fit at the design points i/n, restricted to [b, 1-b]."""
+    t = unit_grid(fitted.size)
+    inside = (t >= b) & (t <= 1.0 - b)
+    return CurveOnGrid(grid=t[inside], values=fitted[inside])
+
+
+def _difference_estimate(
+    y: TimeSeries,
+    lag: int,
+    h: int,
+    b: float,
+    kernel: Kernel,
+    grid: np.ndarray | None,
+    fits: dict,
+) -> AcovEstimate:
+    """The gamma_lag estimate on ``grid``; with grid None, on the lag-h
+    design points in [b, 1-b], read off the lag-h fit kept in ``fits``."""
+    if grid is None:
+        curve = _interior(_fitted_difference(y, h, b, kernel, fits)[1], b)
+    else:
+        curve = fit_curve(difference(y, h).values, b, kernel, grid=grid)
+    level = curve.values
+    if lag > 0:
+        rho_k = difference(y, lag).values
+        level = level - fit_curve(rho_k, b, kernel, grid=curve.grid).values
+    vals = 0.5 * level
+    return AcovEstimate(
+        lag=lag,
+        curve=CurveOnGrid(grid=curve.grid, values=vals),
+        bandwidth=float(b),
+        working_n=y.n - h,
+        diff_lag=h,
+        has_negative=bool(lag == 0 and np.any(vals < 0.0)),
+    )
+
+
 def estimate_gamma0(
     y: TimeSeries,
     h: int,
@@ -82,19 +155,9 @@ def estimate_gamma0(
         Evaluation points; default is the difference-series design grid
         restricted to [b, 1-b].
     """
-    rho = difference(y, h)
     if grid is None:
-        grid = interior_grid(rho.n, b)
-    fit = fit_curve(rho.values, b, kernel, grid=grid)
-    vals = 0.5 * fit.values
-    return AcovEstimate(
-        lag=0,
-        curve=CurveOnGrid(grid=fit.grid, values=vals),
-        bandwidth=float(b),
-        working_n=rho.n,
-        diff_lag=h,
-        has_negative=bool(np.any(vals < 0.0)),
-    )
+        grid = interior_grid(difference(y, h).n, b)
+    return _difference_estimate(y, 0, h, b, kernel, grid, {})
 
 
 def estimate_gammak(
@@ -113,20 +176,133 @@ def estimate_gammak(
     """
     if not 1 <= k < h:
         raise InvalidLagError(f"need 1 <= k < h, got k={k}, h={h}")
-    rho_h = difference(y, h)
-    rho_k = difference(y, k)
     if grid is None:
-        grid = interior_grid(rho_h.n, b)
-    fit_h = fit_curve(rho_h.values, b, kernel, grid=grid)
-    fit_k = fit_curve(rho_k.values, b, kernel, grid=grid)
-    vals = 0.5 * (fit_h.values - fit_k.values)
+        grid = interior_grid(difference(y, h).n, b)
+    return _difference_estimate(y, k, h, b, kernel, grid, {})
+
+
+def _band_scale(
+    pair: ResidualPair,
+    m: int | None,
+    tau: float | None,
+    kernel: Kernel,
+    grid: np.ndarray,
+) -> tuple[SigmaFunctionals, int, float]:
+    """Band scales on ``grid`` from the block long-run covariance of a
+    residual pair; an m or tau left None comes from minimum volatility."""
+    if m is None or tau is None:
+        mv = min_volatility(pair, kernel=kernel)
+        m = mv.m if m is None else m
+        tau = mv.tau if tau is None else tau
+    m, tau = int(m), float(tau)
+    return sigma_functionals(lrv_curve(pair, m, tau, kernel, grid=grid)), m, tau
+
+
+def _per_lag(value, count: int, what: str) -> list:
+    values = (value,) if value is None or np.isscalar(value) else tuple(value)
+    if len(values) == 1:
+        return list(values) * count
+    if len(values) != count:
+        raise ConfigurationError(f"{what} needs 1 or {count} values")
+    return list(values)
+
+
+def estimate_lags(
+    y: TimeSeries,
+    h: int,
+    lags: Sequence[int],
+    kernel: Kernel,
+    b_h: float | None = None,
+    b_k: float | Sequence[float | None] | None = None,
+    m: int | Sequence[int | None] | None = None,
+    tau: float | Sequence[float | None] | None = None,
+    bandwidths: np.ndarray | None = None,
+    grid_points: int | None = None,
+) -> list[LagEstimate]:
+    """Estimate and band scales for each lag, 0 <= lag < h < N - 2.
+
+    Per lag: the bandwidth (``b_h`` at lag 0, ``b_k`` at lag k; None
+    cross-validates over ``bandwidths``, on the lag-h series at lag 0 and on
+    lag-h minus lag-k at lag k), the estimate of `estimate_gamma0` /
+    `estimate_gammak`, the pair of `residuals` (k = 1 at lag 0), its blocks
+    (minimum volatility picks an ``m`` or ``tau`` left None) and
+    `sigma_functionals` on the estimate's grid. ``b_k``, ``m`` and ``tau``
+    take one value or one per (positive) lag. ``grid_points`` evaluates on
+    that many equispaced points of [b, 1-b] instead of the design points.
+
+    Each difference series is fitted once per (lag, bandwidth) at its design
+    points; residuals and default-grid lag-h levels are read off that fit,
+    so centers match the step-by-step functions to rounding, not bitwise.
+    """
+    lags = tuple(int(k) for k in lags)
+    if not 1 <= h < y.n - 2:
+        raise ConfigurationError(f"h={h} out of range for n={y.n}")
+    if any(not 0 <= k < h for k in lags):
+        raise ConfigurationError(f"every lag must be in [0, h={h})")
+    b_k = iter(_per_lag(b_k, sum(k > 0 for k in lags), "b_k"))
+    b = [b_h if k == 0 else next(b_k) for k in lags]
+    m = _per_lag(m, len(lags), "m")
+    tau = _per_lag(tau, len(lags), "tau")
+
+    rho_h = difference(y, h).values
+    fits: dict = {}
+    out = []
+    for lag, b_lag, m_lag, tau_lag in zip(lags, b, m, tau):
+        if b_lag is None:
+            target = rho_h
+            if lag > 0:
+                target = rho_h - difference(y, lag).values[: rho_h.size]
+            b_lag = gcv_bandwidth(target, bandwidths, kernel).bandwidth
+        b_lag = float(b_lag)
+        grid = None
+        if grid_points is not None:
+            grid = np.linspace(b_lag, 1.0 - b_lag, int(grid_points))
+        band_grid = interior_grid(rho_h.size, b_lag) if grid is None else grid
+        # Band scales first: the dense (grid x n) weights of lrv_curve set
+        # the peak memory at large n, and that peak is lower ahead of the
+        # lag-k fit on the band grid.
+        pair = _residual_pair(y, max(lag, 1), h, b_lag, kernel, fits)
+        sigma, m_lag, tau_lag = _band_scale(pair, m_lag, tau_lag, kernel,
+                                            band_grid)
+        est = _difference_estimate(y, lag, h, b_lag, kernel, grid, fits)
+        out.append(LagEstimate(est, sigma, m_lag, tau_lag))
+    return out
+
+
+def _lag_products(
+    y: TimeSeries,
+    lags: Sequence[int],
+    kernel: Kernel,
+    b_mean: float | None,
+    b_var: float | None,
+    bandwidths: np.ndarray | None,
+) -> tuple[float, list[tuple[np.ndarray, float]]]:
+    """Detrend once, then per lag the products of the residuals at that lag
+    and their smoothing bandwidth. Bandwidths left None are cross-validated
+    over ``bandwidths``; the trend bandwidth is returned first."""
+    if b_mean is None:
+        b_mean = gcv_bandwidth(y.values, bandwidths, kernel).bandwidth
+    resid = y.values - fit_curve(y.values, b_mean, kernel, grid=y.grid).values
+    out = []
+    for k in lags:
+        prods = resid * resid if k == 0 else resid[k:] * resid[:-k]
+        b = b_var
+        if b is None:
+            b = gcv_bandwidth(prods, bandwidths, kernel).bandwidth
+        out.append((prods, float(b)))
+    return float(b_mean), out
+
+
+def _naive_acov(k: int, curve: CurveOnGrid, b_var: float, b_mean: float,
+                working_n: int) -> AcovEstimate:
     return AcovEstimate(
         lag=k,
-        curve=CurveOnGrid(grid=np.asarray(grid, dtype=float), values=vals),
-        bandwidth=float(b),
-        working_n=rho_h.n,
-        diff_lag=h,
-        has_negative=False,
+        curve=curve,
+        bandwidth=b_var,
+        working_n=working_n,
+        diff_lag=None,
+        has_negative=bool(k == 0 and np.any(curve.values < 0.0)),
+        mean_bandwidth=b_mean,
     )
 
 
@@ -150,26 +326,9 @@ def naive_estimate(
     """
     if k < 0 or k > y.n - 2:
         raise InvalidLagError(f"lag {k} invalid for length {y.n}")
-    if b_mean is None:
-        b_mean = gcv_bandwidth(y.values, bandwidths, kernel).bandwidth
-    trend = fit_curve(y.values, b_mean, kernel, grid=y.grid)
-    resid = y.values - trend.values
-    if k == 0:
-        prods = resid * resid
-    else:
-        prods = resid[k:] * resid[:-k]
-    if b_var is None:
-        b_var = gcv_bandwidth(prods, bandwidths, kernel).bandwidth
-    m = prods.size
+    b_mean, [(prods, b_var)] = _lag_products(y, (k,), kernel, b_mean, b_var,
+                                             bandwidths)
     if grid is None:
-        grid = interior_grid(m, b_var)
+        grid = interior_grid(prods.size, b_var)
     fit = fit_curve(prods, b_var, kernel, grid=grid)
-    return AcovEstimate(
-        lag=k,
-        curve=fit,
-        bandwidth=float(b_var),
-        working_n=m,
-        diff_lag=None,
-        has_negative=bool(k == 0 and np.any(fit.values < 0.0)),
-        mean_bandwidth=float(b_mean),
-    )
+    return _naive_acov(k, fit, b_var, b_mean, prods.size)

@@ -27,16 +27,13 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .acov import estimate_gamma0, estimate_gammak
-from .diffseries import default_start_lag, difference, select_lag
+from .acov import estimate_lags
+from .diffseries import select_lag
 from .errors import ConfigurationError, ParseError, TvacovError
 from .kernels import epanechnikov
-from .locallinear import interior_grid
-from .lrv import lrv_curve, residuals, sigma_functionals
 from .procgen import TimeSeries, generate, model_preset, PRESET_NAMES
-from .scb import build_band
+from .scb import bandwidth_candidates, build_band
 from .study import StudyConfig, _child_seed, run_naive_study, run_study
-from .tuning import gcv_bandwidth, min_volatility
 
 __all__ = ["main", "ingest_csv"]
 
@@ -259,6 +256,13 @@ def _write_band_csv(path: Path, band) -> None:
 # ---------------------------------------------------------------------------
 # subcommands
 
+def _truncation_lag(args, config, y: TimeSeries, lags, kernel) -> int:
+    h = _resolve(args, "h", config, None)
+    if h is None:
+        h = max(select_lag(y, kernel=kernel).h, max(lags) + 1)
+    return int(h)
+
+
 def _cmd_estimate(args) -> int:
     config = _load_config(args.config) if args.config else {}
     out = Path(args.out) if args.out else None
@@ -266,10 +270,7 @@ def _cmd_estimate(args) -> int:
         raise ConfigurationError("estimate needs --out")
     kernel = epanechnikov()
     y, meta = _load_series(args, config)
-    lags = _resolve(args, "lags", config, (0, 1))
-    if isinstance(lags, str):
-        lags = _parse_lags(lags)
-    lags = tuple(sorted(set(lags)))
+    lags = tuple(sorted(set(_resolve(args, "lags", config, (0, 1)))))
     if any(k < 0 for k in lags):
         raise ConfigurationError("lags must be nonnegative")
     alpha = float(_resolve(args, "alpha", config, 0.05))
@@ -278,83 +279,26 @@ def _cmd_estimate(args) -> int:
     threads = int(_resolve(args, "threads", config, 1))
     grid_points = _resolve(args, "grid_points", config, None)
     bw_grid = config.get("bandwidth_grid")
-    bw_grid = np.asarray(bw_grid) if bw_grid is not None else None
-    seed = meta["seed"]
 
-    max_pos = max([k for k in lags if k > 0], default=0)
-    h = _resolve(args, "h", config, None)
-    if h is None:
-        h = select_lag(y, kernel=kernel).h
-        h = max(h, max_pos + 1)
-    h = int(h)
-    if h < 1 or h >= y.n - 2:
-        raise ConfigurationError(f"h={h} out of range for n={y.n}")
-    if max_pos >= h:
-        raise ConfigurationError(f"every positive lag must be < h={h}")
-
-    rho_h = difference(y, h)
-    nw = rho_h.n
     b_h = _resolve(args, "b_h", config, None)
-    b_k_list = _resolve(args, "b_k", config, None)
-    m_list = _resolve(args, "m", config, None)
-    tau_list = _resolve(args, "tau", config, None)
-    pos_lags = [k for k in lags if k > 0]
+    b_k = _resolve(args, "b_k", config, None)
+    candidates = bandwidth_candidates(method, bw_grid, (b_h, *(b_k or [None])))
+    h = _truncation_lag(args, config, y, lags, kernel)
 
-    def pick(seq, idx, total, what):
-        if seq is None:
-            return None
-        seq = (seq,) if np.isscalar(seq) else tuple(seq)
-        if len(seq) == 1:
-            return seq[0]
-        if len(seq) != total:
-            raise ConfigurationError(
-                f"{what} needs 1 or {total} comma-separated values"
-            )
-        return seq[idx]
-
-    resolved_b: list[float] = []
-    resolved_m: list[int] = []
-    resolved_tau: list[float] = []
-    for pos, lag in enumerate(lags):
-        if lag == 0:
-            b = b_h if b_h is not None else gcv_bandwidth(
-                rho_h.values, bw_grid, kernel).bandwidth
-            est = estimate_gamma0(y, h, float(b), kernel)
-            pair = residuals(y, min(1, h), h, float(b), kernel)
-        else:
-            idx = pos_lags.index(lag)
-            b = pick(b_k_list, idx, len(pos_lags), "b_k")
-            if b is None:
-                aligned = rho_h.values - difference(y, lag).values[:nw]
-                b = gcv_bandwidth(aligned, bw_grid, kernel).bandwidth
-            est = estimate_gammak(y, lag, h, float(b), kernel)
-            pair = residuals(y, lag, h, float(b), kernel)
-        if grid_points is not None:
-            g = np.linspace(est.bandwidth, 1.0 - est.bandwidth,
-                            int(grid_points))
-            if lag == 0:
-                est = estimate_gamma0(y, h, est.bandwidth, kernel, grid=g)
-            else:
-                est = estimate_gammak(y, lag, h, est.bandwidth, kernel, grid=g)
-        m = pick(m_list, pos, len(lags), "m")
-        tau = pick(tau_list, pos, len(lags), "tau")
-        if m is None or tau is None:
-            mv = min_volatility(pair, kernel=kernel)
-            m = mv.m if m is None else m
-            tau = mv.tau if tau is None else tau
-        sig = sigma_functionals(
-            lrv_curve(pair, int(m), float(tau), kernel, grid=est.curve.grid)
-        )
-        sigma = sig.sigma_h if lag == 0 else sig.sigma_ck
+    fits = estimate_lags(
+        y, h, lags, kernel, b_h=b_h, b_k=b_k,
+        m=_resolve(args, "m", config, None),
+        tau=_resolve(args, "tau", config, None),
+        bandwidths=candidates, grid_points=grid_points,
+    )
+    for fit in fits:
+        lag = fit.estimate.lag
         band = build_band(
-            est, sigma, kernel, method=method, alpha=alpha, draws=draws,
-            seed=_child_seed(seed, 10, lag), threads=threads,
+            fit.estimate, fit.scale, kernel, method=method, alpha=alpha,
+            draws=draws, threads=threads, seed=_child_seed(meta["seed"], 10, lag),
         )
         _write_band_csv(out / f"gamma{lag}_band.csv", band)
-        resolved_b.append(float(est.bandwidth))
-        resolved_m.append(int(m))
-        resolved_tau.append(float(tau))
-        print(f"lag {lag}: bandwidth={est.bandwidth:.4g} m={m} tau={tau} "
+        print(f"lag {lag}: bandwidth={fit.b:.4g} m={fit.m} tau={fit.tau} "
               f"half-width factor={band.sigma_factor:.4g}")
 
     entries = dict(meta)
@@ -365,14 +309,14 @@ def _cmd_estimate(args) -> int:
         method=method,
         kernel=kernel.name,
         h=h,
-        b_h=resolved_b[lags.index(0)] if 0 in lags else None,
-        b_k=tuple(resolved_b[lags.index(k)] for k in pos_lags) or None,
-        m=tuple(resolved_m),
-        tau=tuple(resolved_tau),
+        b_h=fits[0].b if lags[0] == 0 else None,
+        b_k=tuple(fit.b for fit in fits if fit.estimate.lag > 0) or None,
+        m=tuple(fit.m for fit in fits),
+        tau=tuple(fit.tau for fit in fits),
         grid_points=grid_points,
     )
     if bw_grid is not None:
-        entries["bandwidth_grid"] = tuple(float(b) for b in bw_grid)
+        entries["bandwidth_grid"] = bw_grid
     _write_manifest(out, "estimate", entries)
     print(f"wrote {len(lags)} band file(s) and manifest.txt to {out}")
     return 0
@@ -389,20 +333,14 @@ def _study_config(args, config, kind: str) -> StudyConfig:
     if draws is None:
         draws = 10_000 if full else 2000
     lags = _resolve(args, "lags", config, (0, 1))
-    if isinstance(lags, str):
-        lags = _parse_lags(lags)
-    # tuning knobs default to the StudyConfig values, not to "auto"
+    # tuning knobs default to the StudyConfig values, not to "auto"; the
+    # study takes the first value of a per-lag list from a config file
     dflt = {f.name: f.default for f in dataclasses.fields(StudyConfig)}
     h = _resolve(args, "h", config, dflt["h"])
-    b_k_cfg = _resolve(args, "b_k", config, dflt["b_k"])
-    if isinstance(b_k_cfg, tuple):
-        b_k_cfg = b_k_cfg[0] if b_k_cfg else None
-    m_cfg = _resolve(args, "m", config, dflt["m"])
-    if isinstance(m_cfg, tuple):
-        m_cfg = m_cfg[0] if m_cfg else None
-    tau_cfg = _resolve(args, "tau", config, dflt["tau"])
-    if isinstance(tau_cfg, tuple):
-        tau_cfg = tau_cfg[0] if tau_cfg else None
+    knob = {}
+    for name in ("b_k", "m", "tau"):
+        v = _resolve(args, name, config, dflt[name])
+        knob[name] = (v[0] if v else None) if isinstance(v, tuple) else v
     bw_grid = config.get("bandwidth_grid")
     return StudyConfig(
         model=str(model),
@@ -414,10 +352,8 @@ def _study_config(args, config, kind: str) -> StudyConfig:
         seed=int(_resolve(args, "seed", config, 0)),
         h=None if h in (None, "auto") else int(h),
         b_h=_resolve(args, "b_h", config, dflt["b_h"]),
-        b_k=b_k_cfg,
         bandwidth_grid=np.asarray(bw_grid) if bw_grid is not None else None,
-        m=m_cfg,
-        tau=tau_cfg,
+        **knob,
         min_volatility=bool(
             _resolve(args, "min_volatility", config, dflt["min_volatility"])
         ),
@@ -467,32 +403,22 @@ def _cmd_tune(args) -> int:
     config = _load_config(args.config) if args.config else {}
     kernel = epanechnikov()
     y, meta = _load_series(args, config)
-    h = _resolve(args, "h", config, None)
-    if h is None:
-        h = select_lag(y, kernel=kernel).h
-        h = max(h, 2)
-    h = int(h)
-    rho_h = difference(y, h)
-    bw_grid = config.get("bandwidth_grid")
-    bw_grid = np.asarray(bw_grid) if bw_grid is not None else None
-    b_h = gcv_bandwidth(rho_h.values, bw_grid, kernel).bandwidth
-    aligned = rho_h.values - difference(y, 1).values[: rho_h.n]
-    b_k = gcv_bandwidth(aligned, bw_grid, kernel).bandwidth
-    pair = residuals(y, 1, h, b_k, kernel)
-    mv = min_volatility(pair, kernel=kernel)
+    h = _truncation_lag(args, config, y, (0, 1), kernel)
+    lag0, lag1 = estimate_lags(y, h, (0, 1), kernel,
+                               bandwidths=config.get("bandwidth_grid"))
     lines = [
         f"h={h}",
-        f"b_h={_fmt(b_h)}",
-        f"b_k={_fmt(b_k)}",
-        f"m={mv.m}",
-        f"tau={_fmt(mv.tau)}",
+        f"b_h={_fmt(lag0.b)}",
+        f"b_k={_fmt(lag1.b)}",
+        f"m={lag1.m}",
+        f"tau={_fmt(lag1.tau)}",
     ]
     print("\n".join(lines))
     if args.out:
         out = Path(args.out)
         _write_lines(out / "tune.txt", lines)
-        _write_manifest(out, "tune", dict(meta, h=h, b_h=b_h, b_k=(b_k,),
-                                          m=(mv.m,), tau=(mv.tau,)))
+        _write_manifest(out, "tune", dict(meta, h=h, b_h=lag0.b, b_k=(lag1.b,),
+                                          m=(lag1.m,), tau=(lag1.tau,)))
     return 0
 
 

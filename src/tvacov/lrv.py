@@ -103,6 +103,33 @@ class SigmaFunctionals:
     clipped: bool
 
 
+def _fitted_difference(
+    y: TimeSeries, lag: int, b: float, kernel: Kernel, fits: dict
+) -> tuple[np.ndarray, np.ndarray]:
+    """The squared lag differences and their local-linear fit at their own
+    design points, computed once per (lag, b) and kept in ``fits``."""
+    key = (lag, float(b))
+    if key not in fits:
+        rho = difference(y, lag)
+        fitted = fit_curve(rho.values, b, kernel, grid=rho.grid).values
+        fits[key] = (rho.values, fitted)
+    return fits[key]
+
+
+def _residual_pair(
+    y: TimeSeries, k: int, h: int, b: float, kernel: Kernel, fits: dict
+) -> ResidualPair:
+    """`residuals` computed from (and into) the fits kept in ``fits``."""
+    rho_h, fit_h = _fitted_difference(y, h, b, kernel, fits)
+    eps_h = rho_h - fit_h
+    if k == h:
+        eps_k = eps_h
+    else:
+        rho_k, fit_k = _fitted_difference(y, k, b, kernel, fits)
+        eps_k = (rho_k - fit_k)[: rho_h.size]
+    return ResidualPair(eps=np.column_stack([eps_h, eps_k]), lags=(h, k))
+
+
 def residuals(
     y: TimeSeries, k: int, h: int, b: float, kernel: Kernel
 ) -> ResidualPair:
@@ -115,19 +142,7 @@ def residuals(
     """
     if not 1 <= k <= h:
         raise ConfigurationError(f"need 1 <= k <= h, got k={k}, h={h}")
-    rho_h = difference(y, h)
-    eps_h = rho_h.values - fit_curve(
-        rho_h.values, b, kernel, grid=rho_h.grid
-    ).values
-    if k == h:
-        eps_k = eps_h
-    else:
-        rho_k = difference(y, k)
-        eps_k = rho_k.values - fit_curve(
-            rho_k.values, b, kernel, grid=rho_k.grid
-        ).values
-        eps_k = eps_k[: rho_h.n]
-    return ResidualPair(eps=np.column_stack([eps_h, eps_k]), lags=(h, k))
+    return _residual_pair(y, k, h, b, kernel, {})
 
 
 def _block_products(eps: np.ndarray, m: int) -> np.ndarray:

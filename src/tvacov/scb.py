@@ -23,6 +23,7 @@ of the draws over workers reproduces the single-threaded quantile exactly.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,12 +36,15 @@ from .errors import (
 )
 from .kernels import Kernel
 from .locallinear import CurveOnGrid, interior_grid, unit_grid, weight_matrix
+from .tuning import default_bandwidth_grid
 
 __all__ = [
     "BootstrapQuantile",
     "BandResult",
+    "GUMBEL_MAX_BANDWIDTH",
     "proxy_draws",
     "bootstrap_quantile",
+    "bandwidth_candidates",
     "gumbel_critical",
     "build_band",
     "coverage_check",
@@ -188,14 +192,44 @@ def bootstrap_quantile(
     )
 
 
+# The limit formula needs log(m*) > 1 with m* = 1/b.
+GUMBEL_MAX_BANDWIDTH = 1.0 / math.e
+
+
+def bandwidth_candidates(
+    method: str,
+    bandwidths: np.ndarray | None,
+    fixed: Sequence[float | None],
+) -> np.ndarray | None:
+    """Cross-validation candidates for a band method, checked before tuning.
+
+    Under gumbel, each fixed band bandwidth in ``fixed`` (None where
+    cross-validated) must be below `GUMBEL_MAX_BANDWIDTH` and the candidates
+    (default `default_bandwidth_grid`) are cut below it; the cut changes no
+    choice the limit formula accepts. Other methods keep ``bandwidths``.
+    """
+    if method != "gumbel":
+        return bandwidths
+    if any(b is not None and b >= GUMBEL_MAX_BANDWIDTH for b in fixed):
+        raise ConfigurationError(
+            f"method gumbel needs bandwidths < 1/e, got {list(fixed)}"
+        )
+    grid = default_bandwidth_grid() if bandwidths is None else bandwidths
+    grid = np.asarray(grid, dtype=float)
+    grid = grid[grid < GUMBEL_MAX_BANDWIDTH]
+    if grid.size == 0 and None in fixed:
+        raise ConfigurationError("method gumbel needs candidates below 1/e")
+    return grid
+
+
 def gumbel_critical(b: float, kernel: Kernel, alpha: float, n: int) -> float:
     """The limiting critical multiplier; half-width is
     sigma_hat(t) * sqrt(phi0 / (4 n b)) * multiplier.
 
-    Requires b < 1/e so that log(m*) with m* = 1/b exceeds 1.
+    Requires b < `GUMBEL_MAX_BANDWIDTH` (1/e).
     """
     b = float(b)
-    if not 0.0 < b < 1.0 / math.e:
+    if not 0.0 < b < GUMBEL_MAX_BANDWIDTH:
         raise ConfigurationError(
             f"the limit formula needs 0 < b < 1/e, got b={b!r}"
         )

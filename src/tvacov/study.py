@@ -25,15 +25,14 @@ from typing import Any
 
 import numpy as np
 
-from .acov import estimate_gamma0, estimate_gammak, naive_estimate
-from .diffseries import default_start_lag, difference, select_lag
+from .acov import _band_scale, _interior, _lag_products, _naive_acov, estimate_lags
+from .diffseries import select_lag
 from .errors import ConfigurationError, NumericError, TvacovError
 from .kernels import Kernel, epanechnikov
-from .locallinear import CurveOnGrid, fit_at_data, fit_curve
-from .lrv import ResidualPair, lrv_curve, residuals, sigma_functionals
+from .locallinear import CurveOnGrid, fit_at_data
+from .lrv import ResidualPair
 from .procgen import ErrorModel, MeanSpec, TimeSeries, generate, model_preset, true_gamma
-from .scb import BandResult, BootstrapQuantile, bootstrap_quantile, build_band, coverage_check
-from .tuning import gcv_bandwidth, min_volatility
+from .scb import BootstrapQuantile, bandwidth_candidates, bootstrap_quantile, build_band, coverage_check
 
 __all__ = ["StudyConfig", "StudyReport", "run_study", "run_naive_study"]
 
@@ -66,6 +65,7 @@ class StudyConfig:
     over ``bandwidth_grid``. ``m``/``tau`` fix the long-run covariance
     blocks; when either is None they come from minimum volatility
     (``min_volatility=True``) or the plain rules (ceil(n^(1/3)), 0.2).
+    Fixed bandwidths and tau lie in (0, 1/2), m >= 1; gumbel needs b < 1/e.
     ``quantile_inflation`` scales the bootstrap critical value, for
     sensitivity checks only.
     """
@@ -109,10 +109,18 @@ class StudyConfig:
                 raise ConfigurationError("h must be >= 1")
             if any(k >= self.h for k in lags if k > 0):
                 raise ConfigurationError("every positive lag must be < h")
+        for name in ("b_h", "b_k", "tau"):
+            v = getattr(self, name)
+            if v is not None and not 0.0 < v < 0.5:
+                raise ConfigurationError(f"{name} must be in (0, 1/2), got {v!r}")
+        if self.m is not None and self.m < 1:
+            raise ConfigurationError(f"m must be >= 1, got {self.m!r}")
         if self.threads < 1:
             raise ConfigurationError("threads must be >= 1")
         if self.method not in ("bootstrap", "gumbel"):
             raise ConfigurationError(f"unknown method {self.method!r}")
+        bandwidth_candidates(self.method, self.bandwidth_grid,
+                             (self.b_h, self.b_k))  # gumbel: b < 1/e
         if self.quantile_inflation <= 0:
             raise ConfigurationError("quantile_inflation must be positive")
         if not 0.0 <= self.max_failure_fraction < 1.0:
@@ -243,85 +251,37 @@ class _QuantileStore:
             return self._store.setdefault(key, bq)
 
 
-def _inflate(bq: BootstrapQuantile, factor: float) -> BootstrapQuantile:
-    if factor == 1.0:
-        return bq
-    return dataclasses.replace(bq, quantile=bq.quantile * factor)
-
-
-def _pick_blocks(cfg: StudyConfig, pair: ResidualPair) -> tuple[int, float]:
+def _blocks(cfg: StudyConfig, n_work: int) -> tuple[int | None, float | None]:
+    """The (m, tau) of a replication with working length ``n_work``;
+    (None, None) leaves both to minimum volatility."""
     if cfg.m is not None and cfg.tau is not None:
         return int(cfg.m), float(cfg.tau)
     if cfg.min_volatility:
-        mv = min_volatility(pair, kernel=cfg.kernel)
-        return mv.m, mv.tau
-    return max(1, math.ceil(pair.n ** (1 / 3))), 0.2
+        return None, None
+    return max(1, math.ceil(n_work ** (1 / 3))), 0.2
 
 
-def _banded_target(
-    cfg: StudyConfig,
-    store: _QuantileStore,
-    rep: int,
-    est,
-    sigma: CurveOnGrid,
-    weight_scale: float,
-) -> BandResult:
-    if cfg.method == "bootstrap":
-        bq = store.get(rep, est.working_n, est.bandwidth, est.curve.grid,
-                       weight_scale)
-        bq = _inflate(bq, cfg.quantile_inflation)
-        return build_band(
-            est, sigma, cfg.kernel, method="bootstrap", alpha=cfg.alpha,
-            weight_scale=weight_scale, quantile=bq,
-        )
-    return build_band(
-        est, sigma, cfg.kernel, method="gumbel", alpha=cfg.alpha,
-        weight_scale=weight_scale,
-    )
-
-
-def _replicate_diff(cfg: StudyConfig, store: _QuantileStore, rep: int,
-                    mean: MeanSpec, model: ErrorModel) -> dict[str, Any]:
-    seed = np.random.SeedSequence(cfg.seed, spawn_key=(_STREAM_SERIES, rep))
-    y = generate(mean, model, cfg.n, seed)
-    if cfg.h is not None:
-        h = cfg.h
-    else:
-        h = select_lag(y, h0=cfg.h0, threshold=cfg.threshold,
-                       kernel=cfg.kernel).h
-        h = max(h, max([k + 1 for k in cfg.lags if k > 0], default=1))
-    rho_h = difference(y, h)
-    nw = rho_h.n
+def _score(cfg: StudyConfig, store: _QuantileStore, rep: int,
+           model: ErrorModel, h: int, weight_scale: float,
+           fitted: list) -> dict[str, Any]:
+    """Band each (estimate, scale, m, tau); record coverage, width, tuning."""
     out: dict[str, Any] = {"h": h, "covered": {}, "width": {}, "b": {},
                            "m": {}, "tau": {}}
-
-    for lag in cfg.lags:
-        if lag == 0:
-            if cfg.b_h is not None:
-                b = cfg.b_h
-            else:
-                b = gcv_bandwidth(rho_h.values, cfg.bandwidth_grid,
-                                  cfg.kernel).bandwidth
-            est = estimate_gamma0(y, h, b, cfg.kernel)
-            pair = residuals(y, min(1, h), h, b, cfg.kernel)
-        else:
-            if cfg.b_k is not None:
-                b = cfg.b_k
-            else:
-                aligned = rho_h.values - difference(y, lag).values[:nw]
-                b = gcv_bandwidth(aligned, cfg.bandwidth_grid,
-                                  cfg.kernel).bandwidth
-            est = estimate_gammak(y, lag, h, b, cfg.kernel)
-            pair = residuals(y, lag, h, b, cfg.kernel)
-        m, tau = _pick_blocks(cfg, pair)
-        sig = sigma_functionals(
-            lrv_curve(pair, m, tau, cfg.kernel, grid=est.curve.grid)
+    for est, sigma, m, tau in fitted:
+        quantile = None
+        if cfg.method == "bootstrap":
+            bq = store.get(rep, est.working_n, est.bandwidth, est.curve.grid,
+                           weight_scale)
+            quantile = dataclasses.replace(
+                bq, quantile=bq.quantile * cfg.quantile_inflation)
+        band = build_band(
+            est, sigma, cfg.kernel, method=cfg.method, alpha=cfg.alpha,
+            weight_scale=weight_scale, quantile=quantile,
         )
-        sigma = sig.sigma_h if lag == 0 else sig.sigma_ck
-        band = _banded_target(cfg, store, rep, est, sigma, 0.5)
+        lag = est.lag
         truth = CurveOnGrid(
-            grid=est.curve.grid,
-            values=np.atleast_1d(true_gamma(model, lag, est.curve.grid)),
+            grid=band.grid,
+            values=np.atleast_1d(true_gamma(model, lag, band.grid)),
         )
         out["covered"][lag] = coverage_check(band, truth)
         out["width"][lag] = band.mean_width
@@ -331,58 +291,52 @@ def _replicate_diff(cfg: StudyConfig, store: _QuantileStore, rep: int,
     return out
 
 
-def _replicate_naive(cfg: StudyConfig, store: _QuantileStore, rep: int,
-                     mean: MeanSpec, model: ErrorModel) -> dict[str, Any]:
-    seed = np.random.SeedSequence(cfg.seed, spawn_key=(_STREAM_SERIES, rep))
-    y = generate(mean, model, cfg.n, seed)
-    b_mean = (gcv_bandwidth(y.values, cfg.bandwidth_grid, cfg.kernel).bandwidth
-              if cfg.b_h is None else cfg.b_h)
-    out: dict[str, Any] = {"h": 0, "covered": {}, "width": {}, "b": {},
-                           "m": {}, "tau": {}}
-    for lag in cfg.lags:
-        est = naive_estimate(y, lag, cfg.kernel, b_mean=b_mean,
-                             b_var=cfg.b_k, bandwidths=cfg.bandwidth_grid)
-        # residuals of the smoothed product series, for the band scale
-        prods = _naive_products(y, lag, b_mean, cfg)
-        prods_fit, _ = fit_at_data(prods, est.bandwidth, cfg.kernel)
-        eps = prods - prods_fit
+def _replicate_diff(cfg: StudyConfig, y: TimeSeries,
+                    bandwidths: np.ndarray | None) -> tuple[int, list]:
+    h = cfg.h
+    if h is None:
+        h = select_lag(y, h0=cfg.h0, threshold=cfg.threshold,
+                       kernel=cfg.kernel).h
+        h = max(h, max(cfg.lags) + 1)
+    m, tau = _blocks(cfg, y.n - h)
+    fits = estimate_lags(y, h, cfg.lags, cfg.kernel, b_h=cfg.b_h,
+                         b_k=cfg.b_k, m=m, tau=tau, bandwidths=bandwidths)
+    return h, [(f.estimate, f.scale, f.m, f.tau) for f in fits]
+
+
+def _replicate_naive(cfg: StudyConfig, y: TimeSeries,
+                     bandwidths: np.ndarray | None) -> tuple[int, list]:
+    b_mean, products = _lag_products(y, cfg.lags, cfg.kernel, cfg.b_h,
+                                     cfg.b_k, bandwidths)
+    fitted = []
+    for lag, (prods, b_var) in zip(cfg.lags, products):
+        level, _ = fit_at_data(prods, b_var, cfg.kernel)
+        est = _naive_acov(lag, _interior(level, b_var), b_var, b_mean,
+                          prods.size)
+        eps = prods - level
         pair = ResidualPair(eps=np.column_stack([eps, eps]), lags=(1, 1))
-        m, tau = _pick_blocks(cfg, pair)
-        sigma = sigma_functionals(
-            lrv_curve(pair, m, tau, cfg.kernel, grid=est.curve.grid)
-        ).sigma_h
-        band = _banded_target(cfg, store, rep, est, sigma, 1.0)
-        truth = CurveOnGrid(
-            grid=est.curve.grid,
-            values=np.atleast_1d(true_gamma(model, lag, est.curve.grid)),
-        )
-        out["covered"][lag] = coverage_check(band, truth)
-        out["width"][lag] = band.mean_width
-        out["b"][lag] = est.bandwidth
-        out["m"][lag] = m
-        out["tau"][lag] = tau
-    return out
-
-
-def _naive_products(y: TimeSeries, lag: int, b_mean: float,
-                    cfg: StudyConfig) -> np.ndarray:
-    trend = fit_curve(y.values, b_mean, cfg.kernel, grid=y.grid)
-    resid = y.values - trend.values
-    return resid * resid if lag == 0 else resid[lag:] * resid[:-lag]
+        m, tau = _blocks(cfg, pair.n)
+        sigma, m, tau = _band_scale(pair, m, tau, cfg.kernel, est.curve.grid)
+        fitted.append((est, sigma.sigma_h, m, tau))
+    return 0, fitted
 
 
 def _run(cfg: StudyConfig, kind: str) -> StudyReport:
     mean, model = cfg.resolve_model()
-    if kind == "naive":
-        worker_fn = _replicate_naive
-    else:
-        worker_fn = _replicate_diff
+    # the naive estimate is the smoothed product itself, no half-difference
+    replicate, weight_scale = ((_replicate_naive, 1.0) if kind == "naive"
+                               else (_replicate_diff, 0.5))
     store = _QuantileStore(cfg)
+    bandwidths = bandwidth_candidates(cfg.method, cfg.bandwidth_grid,
+                                      (cfg.b_h, cfg.b_k))
     R = cfg.replications
 
     def worker(rep: int) -> dict[str, Any] | tuple[int, str]:
+        seed = np.random.SeedSequence(cfg.seed, spawn_key=(_STREAM_SERIES, rep))
         try:
-            return worker_fn(cfg, store, rep, mean, model)
+            y = generate(mean, model, cfg.n, seed)
+            h, fitted = replicate(cfg, y, bandwidths)
+            return _score(cfg, store, rep, model, h, weight_scale, fitted)
         except TvacovError as exc:
             return (rep, f"{type(exc).__name__}: {exc}")
 

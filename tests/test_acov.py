@@ -9,12 +9,19 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from tvacov.acov import estimate_gamma0, estimate_gammak, naive_estimate
+from tvacov.acov import (
+    estimate_gamma0,
+    estimate_gammak,
+    estimate_lags,
+    naive_estimate,
+)
 from tvacov.diffseries import difference
-from tvacov.errors import InvalidLagError
+from tvacov.errors import ConfigurationError, InvalidLagError
 from tvacov.kernels import epanechnikov
 from tvacov.locallinear import fit_curve, interior_grid
+from tvacov.lrv import lrv_curve, residuals, sigma_functionals
 from tvacov.procgen import MeanSpec, TimeSeries, generate, model_preset, true_gamma
+from tvacov.tuning import gcv_bandwidth, min_volatility
 
 KERN = epanechnikov()
 
@@ -93,6 +100,61 @@ def test_consistency_on_long_sample_with_jumps():
     err1 = np.max(np.abs(est1.curve.values - true_gamma(err, 1, est1.curve.grid)))
     assert err0 < 0.12
     assert err1 < 0.12
+
+
+def test_estimate_lags_matches_step_by_step():
+    y = make_series(n=400, seed=7)
+    h, b_h, b_k, m, tau = 4, 0.2, 0.25, 3, 0.2
+    for grid_points in (None, 41):
+        fits = estimate_lags(y, h, (0, 1, 2), KERN, b_h=b_h, b_k=b_k,
+                             m=m, tau=tau, grid_points=grid_points)
+        for lag, fit in zip((0, 1, 2), fits):
+            b = b_h if lag == 0 else b_k
+            grid = None
+            if grid_points is not None:
+                grid = np.linspace(b, 1.0 - b, grid_points)
+            if lag == 0:
+                est = estimate_gamma0(y, h, b, KERN, grid=grid)
+                scale = "sigma_h"
+            else:
+                est = estimate_gammak(y, lag, h, b, KERN, grid=grid)
+                scale = "sigma_ck"
+            pair = residuals(y, max(lag, 1), h, b, KERN)
+            sig = sigma_functionals(
+                lrv_curve(pair, m, tau, KERN, grid=est.curve.grid))
+            assert fit.estimate.lag == lag
+            assert (fit.b, fit.m, fit.tau) == (b, m, tau)
+            assert fit.estimate.working_n == est.working_n
+            assert fit.estimate.has_negative == est.has_negative
+            assert_array_equal(fit.estimate.curve.grid, est.curve.grid)
+            assert_allclose(fit.estimate.curve.values, est.curve.values,
+                            rtol=1e-12)
+            assert_allclose(fit.scale.values, getattr(sig, scale).values,
+                            rtol=1e-12)
+
+
+def test_estimate_lags_data_driven_tuning():
+    y = make_series(n=400, seed=7)
+    h = 3
+    fit0, fit1 = estimate_lags(y, h, (0, 1), KERN)
+    rho_h = difference(y, h).values
+    aligned = rho_h - difference(y, 1).values[: rho_h.size]
+    assert fit0.b == gcv_bandwidth(rho_h, kernel=KERN).bandwidth
+    assert fit1.b == gcv_bandwidth(aligned, kernel=KERN).bandwidth
+    for fit in (fit0, fit1):
+        mv = min_volatility(residuals(y, 1, h, fit.b, KERN), kernel=KERN)
+        assert (fit.m, fit.tau) == (mv.m, mv.tau)
+
+
+def test_estimate_lags_validation():
+    y = make_series(n=100)
+    with pytest.raises(ConfigurationError):
+        estimate_lags(y, 3, (0, 3), KERN, b_h=0.2, b_k=0.2, m=3, tau=0.2)
+    with pytest.raises(ConfigurationError):
+        estimate_lags(y, 98, (0,), KERN, b_h=0.2, m=3, tau=0.2)
+    with pytest.raises(ConfigurationError):
+        estimate_lags(y, 4, (0, 1, 2), KERN, b_h=0.2, b_k=(0.2, 0.2, 0.2),
+                      m=3, tau=0.2)
 
 
 def test_naive_matches_manual_two_stage_fit():

@@ -1,8 +1,11 @@
 """Command-line interface: ingestion, outputs, manifests, exit codes."""
 
+import math
+
 import numpy as np
 import pytest
 
+from tvacov import acov, cli
 from tvacov.cli import ingest_csv, main
 from tvacov.errors import ParseError
 
@@ -263,6 +266,42 @@ def test_exit_code_numeric_failure():
     rc = main(["study", "--model", "model1", "--n", "50", "--reps", "2",
                "--draws", "1000", "--h", "48"])
     assert rc == 4
+
+
+def test_exit_code_study_bad_tuning():
+    # rejected by the configuration, before any replication runs
+    base = ["study", "--model", "model1", "--n", "150", "--reps", "20",
+            "--draws", "1000"]
+    for bad in (["--b-h", "0.6"], ["--tau", "0.7"], ["--m", "0"]):
+        assert main(base + bad) == 2, bad
+
+
+def test_gumbel_cross_validates_below_its_limit(tmp_path):
+    # over the whole default grid cross-validation picks b = 0.44 here,
+    # outside the domain of the limit formula
+    d = tmp_path / "g"
+    rc = main(["estimate", "--model", "model1", "--n", "400", "--seed", "3",
+               "--method", "gumbel", "--h", "3", "--m", "3", "--tau", "0.2",
+               "--out", str(d)])
+    assert rc == 0
+    manifest = dict(line.split("=", 1)
+                    for line in (d / "manifest.txt").read_text().splitlines())
+    assert float(manifest["b_h"]) < 1.0 / math.e
+    assert float(manifest["b_k"]) < 1.0 / math.e
+
+
+def test_gumbel_rejects_bandwidths_before_tuning(tmp_path, monkeypatch):
+    def no_tuning(*args, **kwargs):
+        raise AssertionError("tuning ran")
+
+    monkeypatch.setattr(cli, "select_lag", no_tuning)
+    monkeypatch.setattr(acov, "gcv_bandwidth", no_tuning)
+    base = ["estimate", "--model", "model1", "--n", "400", "--seed", "3",
+            "--method", "gumbel", "--out", str(tmp_path / "o")]
+    assert main(base + ["--b-h", "0.4", "--b-k", "0.4"]) == 2
+    grid = tmp_path / "grid.cfg"
+    grid.write_text("bandwidth_grid=0.4,0.45\n")
+    assert main(base + ["--config", str(grid)]) == 2
 
 
 def test_exit_code_tuning_failure(tmp_path):

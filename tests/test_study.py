@@ -2,11 +2,20 @@
 
 import numpy as np
 import pytest
-from numpy.testing import assert_array_equal
+from numpy.testing import assert_allclose, assert_array_equal
 
+from tvacov.acov import naive_estimate
 from tvacov.errors import ConfigurationError, NumericError
-from tvacov.procgen import MeanSpec, model_preset
-from tvacov.study import StudyConfig, run_naive_study, run_study
+from tvacov.kernels import epanechnikov
+from tvacov.locallinear import fit_at_data, fit_curve
+from tvacov.lrv import ResidualPair, lrv_curve, sigma_functionals
+from tvacov.procgen import MeanSpec, generate, model_preset
+from tvacov.study import (
+    StudyConfig,
+    _replicate_naive,
+    run_naive_study,
+    run_study,
+)
 
 
 def small_config(**over):
@@ -84,6 +93,30 @@ def test_naive_study_covers_smooth_trend():
     assert rep.coverage[0] > 0.5
 
 
+def test_naive_replication_matches_step_by_step():
+    # one trend fit per replication and one product fit per lag give the
+    # estimate of naive_estimate and the band scale of the two-stage
+    # residuals, to rounding
+    kern = epanechnikov()
+    cfg = small_config(b_h=0.2, b_k=0.25, m=3, tau=0.2)
+    mean, err = model_preset("model1")
+    y = generate(mean, err, 300, 11)
+    _, fitted = _replicate_naive(cfg, y, None)
+    resid = y.values - fit_curve(y.values, 0.2, kern, grid=y.grid).values
+    for lag, (est, sigma, m, tau) in zip((0, 1), fitted):
+        ref = naive_estimate(y, lag, kern, b_mean=0.2, b_var=0.25)
+        assert_array_equal(est.curve.grid, ref.curve.grid)
+        assert_allclose(est.curve.values, ref.curve.values, rtol=1e-12)
+        assert (est.bandwidth, est.mean_bandwidth) == (0.25, 0.2)
+        prods = resid * resid if lag == 0 else resid[lag:] * resid[:-lag]
+        eps = prods - fit_at_data(prods, 0.25, kern)[0]
+        pair = ResidualPair(eps=np.column_stack([eps, eps]), lags=(1, 1))
+        ref_sigma = sigma_functionals(
+            lrv_curve(pair, 3, 0.2, kern, grid=ref.curve.grid)).sigma_h
+        assert_allclose(sigma.values, ref_sigma.values, rtol=1e-12)
+        assert (m, tau) == (3, 0.2)
+
+
 def test_failure_fraction_enforced():
     # a truncation lag that leaves a two-point working series makes every
     # replication fail; with a zero tolerance the run must abort
@@ -135,6 +168,16 @@ def test_config_validation():
         StudyConfig(threads=0)
     with pytest.raises(ConfigurationError):
         StudyConfig(max_failure_fraction=1.0)
+    for bad in (dict(b_h=0.6), dict(b_k=0.0), dict(m=0), dict(tau=0.7),
+                dict(tau=0.0)):
+        with pytest.raises(ConfigurationError):
+            StudyConfig(**bad)
+    # the limit formula needs b < 1/e, fixed or cross-validated
+    with pytest.raises(ConfigurationError):
+        StudyConfig(method="gumbel", b_h=0.4)
+    with pytest.raises(ConfigurationError):
+        StudyConfig(method="gumbel", b_k=None,
+                    bandwidth_grid=np.array([0.4, 0.45]))
 
 
 def test_lags_deduplicated_and_sorted():
