@@ -207,6 +207,17 @@ def _per_lag(value, count: int, what: str) -> list:
     return list(values)
 
 
+def _check_block_width(m: Sequence[int | None], n_work: int) -> None:
+    """Every fixed block half-width must lie in [1, n_work // 4]."""
+    top = n_work // 4
+    bad = [v for v in m if v is not None and not 1 <= v <= top]
+    if bad:
+        raise ConfigurationError(
+            f"block half-width m must be in [1, {top}] for working length "
+            f"{n_work}, got {bad}"
+        )
+
+
 def estimate_lags(
     y: TimeSeries,
     h: int,
@@ -227,8 +238,9 @@ def estimate_lags(
     `estimate_gammak`, the pair of `residuals` (k = 1 at lag 0), its blocks
     (minimum volatility picks an ``m`` or ``tau`` left None) and
     `sigma_functionals` on the estimate's grid. ``b_k``, ``m`` and ``tau``
-    take one value or one per (positive) lag. ``grid_points`` evaluates on
-    that many equispaced points of [b, 1-b] instead of the design points.
+    take one value or one per (positive) lag; a fixed ``m`` must lie in
+    [1, (N - h) // 4], checked before any tuning. ``grid_points`` evaluates
+    on that many equispaced points of [b, 1-b] instead of the design points.
 
     Each difference series is fitted once per (lag, bandwidth) at its design
     points; residuals and default-grid lag-h levels are read off that fit,
@@ -242,6 +254,7 @@ def estimate_lags(
     b_k = iter(_per_lag(b_k, sum(k > 0 for k in lags), "b_k"))
     b = [b_h if k == 0 else next(b_k) for k in lags]
     m = _per_lag(m, len(lags), "m")
+    _check_block_width(m, y.n - h)
     tau = _per_lag(tau, len(lags), "tau")
 
     rho_h = difference(y, h).values

@@ -32,7 +32,7 @@ from .diffseries import select_lag
 from .errors import ConfigurationError, ParseError, TvacovError
 from .kernels import epanechnikov
 from .procgen import TimeSeries, generate, model_preset, PRESET_NAMES
-from .scb import bandwidth_candidates, build_band
+from .scb import bandwidth_candidates, bootstrap_quantile, build_band
 from .study import StudyConfig, _child_seed, run_naive_study, run_study
 
 __all__ = ["main", "ingest_csv"]
@@ -291,15 +291,34 @@ def _cmd_estimate(args) -> int:
         tau=_resolve(args, "tau", config, None),
         bandwidths=candidates, grid_points=grid_points,
     )
+    # A critical value depends on its context (n, b, band grid), never on
+    # the data: lags in one context reuse the first such lag's quantile,
+    # drawn with that lag's seed.
+    quantiles: dict = {}
     for fit in fits:
-        lag = fit.estimate.lag
-        band = build_band(
-            fit.estimate, fit.scale, kernel, method=method, alpha=alpha,
-            draws=draws, threads=threads, seed=_child_seed(meta["seed"], 10, lag),
-        )
+        est = fit.estimate
+        lag = est.lag
+        quantile, interval, shared = None, "", ""
+        if method == "bootstrap":
+            key = (est.bandwidth, est.curve.grid.tobytes())
+            if key not in quantiles:
+                quantiles[key] = lag, bootstrap_quantile(
+                    est.working_n, est.bandwidth, kernel, draws=draws,
+                    alpha=alpha, seed=_child_seed(meta["seed"], 10, lag),
+                    grid=est.curve.grid, threads=threads,
+                )
+            first, quantile = quantiles[key]
+            lo, hi = quantile.quantile_interval()
+            interval = f" (95% Monte-Carlo interval [{lo:.4g}, {hi:.4g}])"
+            if first != lag:
+                shared = f" quantile=shared with lag {first}"
+        band = build_band(est, fit.scale, kernel, method=method, alpha=alpha,
+                          quantile=quantile)
         _write_band_csv(out / f"gamma{lag}_band.csv", band)
         print(f"lag {lag}: bandwidth={fit.b:.4g} m={fit.m} tau={fit.tau} "
-              f"half-width factor={band.sigma_factor:.4g}")
+              f"half-width factor={band.sigma_factor:.4g}{interval} "
+              f"has_negative={est.has_negative} "
+              f"clipped={fit.sigma.clipped}{shared}")
 
     entries = dict(meta)
     entries.update(

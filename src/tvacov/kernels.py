@@ -65,7 +65,12 @@ class Kernel:
 
 def _epan(u: np.ndarray) -> np.ndarray:
     u = np.asarray(u, dtype=float)
-    return 0.75 * np.maximum(0.0, 1.0 - u * u)
+    # in place: one output buffer, no full-size temporaries
+    out = np.multiply(u, u, out=np.empty_like(u))
+    np.subtract(1.0, out, out=out)
+    np.maximum(0.0, out, out=out)
+    out *= 0.75
+    return out
 
 
 def _epan_deriv(u: np.ndarray) -> np.ndarray:

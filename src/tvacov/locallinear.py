@@ -137,7 +137,8 @@ def _row_blocks(
     KD = KV * D
     S0 = KV.sum(axis=1)
     S1 = KD.sum(axis=1)
-    S2 = (KD * D).sum(axis=1)
+    KD *= D
+    S2 = KD.sum(axis=1)
     den = S0 * S2 - S1 * S1
     if np.any(den <= _DEN_FLOOR):
         g = int(np.argmax(den <= _DEN_FLOOR))
@@ -153,7 +154,20 @@ def _level_rows(
     KV, D, den = _row_blocks(t_eval, n, b, kernel)
     S1 = (KV * D).sum(axis=1)
     S2 = (KV * D * D).sum(axis=1)
-    return KV * (S2[:, None] - D * S1[:, None]) / den[:, None]
+    return _level_weights(KV, D, S1, S2, den)
+
+
+def _level_weights(
+    KV: np.ndarray, D: np.ndarray, S1: np.ndarray, S2: np.ndarray,
+    den: np.ndarray,
+) -> np.ndarray:
+    """KV (S2 - D S1) / den, row-wise, built in a single (chunk x n) buffer
+    so a chunk never holds more than three such arrays at once."""
+    rows = D * S1[:, None]
+    np.subtract(S2[:, None], rows, out=rows)
+    rows *= KV
+    rows /= den[:, None]
+    return rows
 
 
 def _slope_rows(
@@ -300,7 +314,7 @@ def fit_at_data(
         KV, D, den = _row_blocks(chunk, n, b, kernel)
         S1 = (KV * D).sum(axis=1)
         S2 = (KV * D * D).sum(axis=1)
-        rows = KV * (S2[:, None] - D * S1[:, None]) / den[:, None]
+        rows = _level_weights(KV, D, S1, S2, den)
         fitted[pos : pos + chunk.size] = rows @ values
         trace += float(np.sum(k0 * S2 / den))
         pos += chunk.size

@@ -18,6 +18,14 @@ pointwise long-run scale sigma_hat(t):
 
 Each bootstrap draw has its own counter-derived substream, so any partition
 of the draws over workers reproduces the single-threaded quantile exactly.
+The bootstrap value depends on (n, b, grid, draws, alpha, seed) only, never
+on the data; ``tvacov estimate`` computes one per distinct (b, band grid)
+and passes it to `build_band` for every lag in that context.
+
+The proxy product is band-limited: row t of the weights is exactly zero
+where |t_i - t| >= b, so the sup grid is cut into row blocks and each block
+multiplies only the span of columns it weights. `proxy_draws` and
+`bootstrap_quantile` share that one product.
 """
 
 from __future__ import annotations
@@ -53,15 +61,45 @@ __all__ = [
 _MIN_DRAWS = 1000
 # Draws per matrix product; bounds memory without changing any result.
 _DRAW_CHUNK = 512
+# Sup-grid rows per proxy product; each row block multiplies only the span
+# of columns its rows weight.
+_ROW_BLOCK = 400
 
 
 def _draw_block(n: int, seed: int, lo: int, hi: int) -> np.ndarray:
-    """Standard normal columns for draws lo..hi-1, one substream per draw."""
-    u = np.empty((n, hi - lo))
+    """Standard normal rows for draws lo..hi-1, one substream per draw."""
+    u = np.empty((hi - lo, n))
     for d in range(lo, hi):
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(d,)))
-        u[:, d - lo] = rng.standard_normal(n)
+        rng.standard_normal(n, out=u[d - lo])
     return u
+
+
+def _proxy_weights(
+    n: int, b: float, kernel: Kernel, grid: np.ndarray, weight_scale: float
+) -> list[tuple[slice, slice, np.ndarray]]:
+    """The scaled (grid x n) proxy weights as row blocks cut to their support.
+
+    Each entry is (rows, cols, x) with x = w[rows, cols]; every weight of
+    those rows outside ``cols`` is exactly zero, because the kernel vanishes
+    beyond one bandwidth.
+    """
+    w = weight_matrix(n, grid, b, kernel)
+    w *= float(weight_scale)
+    blocks = []
+    for g0 in range(0, grid.size, _ROW_BLOCK):
+        rows = slice(g0, min(g0 + _ROW_BLOCK, grid.size))
+        live = np.flatnonzero(w[rows].any(axis=0))
+        cols = slice(live[0], live[-1] + 1) if live.size else slice(0, 0)
+        blocks.append((rows, cols, w[rows, cols]))
+    return blocks
+
+
+def _proxy_values(blocks: list, u: np.ndarray):
+    """Yield (rows, values): the proxy on each row block for the draws in the
+    rows of ``u``, values shaped (block rows x draws)."""
+    for rows, cols, x in blocks:
+        yield rows, x @ u[:, cols].T
 
 
 def proxy_draws(
@@ -82,11 +120,12 @@ def proxy_draws(
     if draws < 1:
         raise ConfigurationError("need at least one draw")
     grid = np.asarray(grid, dtype=float)
-    w = weight_matrix(n, grid, b, kernel) * float(weight_scale)
+    blocks = _proxy_weights(n, b, kernel, grid, weight_scale)
     out = np.empty((grid.size, draws))
     for lo in range(0, draws, _DRAW_CHUNK):
         hi = min(lo + _DRAW_CHUNK, draws)
-        out[:, lo:hi] = w @ _draw_block(n, seed, lo, hi)
+        for rows, values in _proxy_values(blocks, _draw_block(n, seed, lo, hi)):
+            out[rows, lo:hi] = values
     return out
 
 
@@ -109,6 +148,32 @@ class BootstrapQuantile:
         if not 0.0 < alpha < 1.0:
             raise ConfigurationError("alpha must be in (0, 1)")
         return float(np.quantile(self.sup_draws, 1.0 - alpha))
+
+    def quantile_interval(self, level: float = 0.95) -> tuple[float, float]:
+        """Monte-Carlo error of `quantile`: the distribution-free interval
+        (X_(l), X_(u)) of order statistics of ``sup_draws`` that holds the
+        true (1 - alpha) sup quantile with probability >= ``level``.
+
+        The count of draws below the true quantile is Binomial(draws,
+        1 - alpha); l and u cut (1 - level)/2 from each of its tails. With
+        too few draws for ``level`` they are clamped to the sample range.
+        """
+        if not 0.0 < level < 1.0:
+            raise ConfigurationError("level must be in (0, 1)")
+        x = np.sort(self.sup_draws)
+        size = x.size
+        p = 1.0 - self.alpha
+        k = np.arange(size)
+        # Binomial(size, p) pmf at 0..size from the ratio pmf(k+1)/pmf(k)
+        log0 = size * math.log1p(-p)
+        steps = np.log((size - k) / (k + 1.0)) + math.log(p / (1.0 - p))
+        cdf = np.cumsum(np.exp(np.concatenate(([log0], log0 + np.cumsum(steps)))))
+        tail = 0.5 * (1.0 - level)
+        # P(X_(l) above the quantile) = P(count <= l - 1) <= tail
+        lo = max(int(np.searchsorted(cdf, tail, side="right")), 1)
+        # P(X_(u) below the quantile) = P(count >= u) <= tail
+        hi = min(int(np.searchsorted(cdf, 1.0 - tail, side="left")) + 1, size)
+        return float(x[lo - 1]), float(x[hi - 1])
 
 
 def bootstrap_quantile(
@@ -160,7 +225,7 @@ def bootstrap_quantile(
         raise ConfigurationError("sup grid must lie inside [b, 1-b]")
 
     sups = np.empty(draws)
-    w = weight_matrix(n, grid, b, kernel) * float(weight_scale)
+    weights = _proxy_weights(n, b, kernel, grid, weight_scale)
     blocks = [
         (lo, min(lo + _DRAW_CHUNK, draws))
         for lo in range(0, draws, _DRAW_CHUNK)
@@ -168,7 +233,10 @@ def bootstrap_quantile(
 
     def fill(block: tuple[int, int]) -> None:
         lo, hi = block
-        sups[lo:hi] = np.abs(w @ _draw_block(n, seed, lo, hi)).max(axis=0)
+        sup = np.zeros(hi - lo)
+        for _, values in _proxy_values(weights, _draw_block(n, seed, lo, hi)):
+            np.maximum(sup, np.abs(values).max(axis=0), out=sup)
+        sups[lo:hi] = sup
 
     if threads == 1:
         for block in blocks:

@@ -25,8 +25,15 @@ from typing import Any
 
 import numpy as np
 
-from .acov import _band_scale, _interior, _lag_products, _naive_acov, estimate_lags
-from .diffseries import select_lag
+from .acov import (
+    _band_scale,
+    _check_block_width,
+    _interior,
+    _lag_products,
+    _naive_acov,
+    estimate_lags,
+)
+from .diffseries import default_start_lag, select_lag
 from .errors import ConfigurationError, NumericError, TvacovError
 from .kernels import Kernel, epanechnikov
 from .locallinear import CurveOnGrid, fit_at_data
@@ -65,7 +72,9 @@ class StudyConfig:
     over ``bandwidth_grid``. ``m``/``tau`` fix the long-run covariance
     blocks; when either is None they come from minimum volatility
     (``min_volatility=True``) or the plain rules (ceil(n^(1/3)), 0.2).
-    Fixed bandwidths and tau lie in (0, 1/2), m >= 1; gumbel needs b < 1/e.
+    Fixed bandwidths and tau lie in (0, 1/2) and 1 <= m <= (n - h) / 4,
+    with h the fixed lag or else the largest the lag scan can return
+    (``h0``, default `default_start_lag`); gumbel needs b < 1/e.
     ``quantile_inflation`` scales the bootstrap critical value, for
     sensitivity checks only.
     """
@@ -115,6 +124,14 @@ class StudyConfig:
                 raise ConfigurationError(f"{name} must be in (0, 1/2), got {v!r}")
         if self.m is not None and self.m < 1:
             raise ConfigurationError(f"m must be >= 1, got {self.m!r}")
+        if self.m is not None:
+            # the largest h a replication can use leaves the fewest blocks;
+            # an h out of range fails every replication on its own check
+            h = self.h
+            if h is None:
+                h = max(self.h0 or default_start_lag(self.n), max(lags) + 1)
+            if h < self.n - 2:
+                _check_block_width([self.m], self.n - h)
         if self.threads < 1:
             raise ConfigurationError("threads must be >= 1")
         if self.method not in ("bootstrap", "gumbel"):

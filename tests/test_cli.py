@@ -276,6 +276,77 @@ def test_exit_code_study_bad_tuning():
         assert main(base + bad) == 2, bad
 
 
+def test_exit_code_block_width_above_working_length(tmp_path, monkeypatch):
+    # m above (n - h)/4 is a configuration error, found before any tuning
+    study = ["study", "--model", "model1", "--n", "150", "--reps", "20",
+             "--draws", "1000"]
+    assert main(study + ["--m", "40"]) == 2
+    assert main(study + ["--m", "40", "--h", "2"]) == 2
+
+    def no_tuning(*args, **kwargs):
+        raise AssertionError("tuning ran")
+
+    monkeypatch.setattr(acov, "gcv_bandwidth", no_tuning)
+    base = ["estimate", "--model", "model1", "--n", "200", "--seed", "3",
+            "--out", str(tmp_path / "o")]
+    # after the lag scan, before cross-validation
+    assert main(base + ["--m", "60"]) == 2
+    monkeypatch.setattr(cli, "select_lag", no_tuning)
+    assert main(base + ["--h", "3", "--m", "3,50"]) == 2
+
+
+def counting(monkeypatch, module, name):
+    calls = []
+    orig = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        result = orig(*args, **kwargs)
+        calls.append(result)
+        return result
+
+    monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+def test_estimate_one_quantile_per_context(tmp_path, monkeypatch, capsys):
+    quantiles = counting(monkeypatch, cli, "bootstrap_quantile")
+    bands = counting(monkeypatch, cli, "build_band")
+    assert main(ESTIMATE_ARGS + ["--out", str(tmp_path / "same")]) == 0
+    assert len(quantiles) == 1
+    assert [band.lag for band in bands] == [0, 1]
+    assert bands[0].sigma_factor == bands[1].sigma_factor
+    # lag 0 keeps the seed it had with one bootstrap per lag
+    assert quantiles[0].seed == cli._child_seed(3, 10, 0)
+    lines = capsys.readouterr().out.splitlines()
+    assert "quantile=shared with lag 0" not in lines[0]
+    assert lines[1].endswith("quantile=shared with lag 0")
+
+    quantiles.clear()
+    bands.clear()
+    other = list(ESTIMATE_ARGS)
+    other[other.index("--b-k") + 1] = "0.25"
+    assert main(other + ["--out", str(tmp_path / "apart")]) == 0
+    assert len(quantiles) == 2
+    assert [q.seed for q in quantiles] == [cli._child_seed(3, 10, lag)
+                                           for lag in (0, 1)]
+    assert bands[0].sigma_factor != bands[1].sigma_factor
+    assert "shared" not in capsys.readouterr().out
+
+
+def test_estimate_prints_flags_and_monte_carlo_interval(tmp_path, capsys):
+    assert main(ESTIMATE_ARGS + ["--out", str(tmp_path / "o")]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    for lag, line in zip((0, 1), lines):
+        assert line.startswith(f"lag {lag}: ")
+        assert "has_negative=False" in line
+        assert "clipped=False" in line
+        assert "95% Monte-Carlo interval [" in line
+    assert main(ESTIMATE_ARGS + ["--method", "gumbel",
+                                 "--out", str(tmp_path / "g")]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert "has_negative=" in lines[0] and "Monte-Carlo" not in lines[0]
+
+
 def test_gumbel_cross_validates_below_its_limit(tmp_path):
     # over the whole default grid cross-validation picks b = 0.44 here,
     # outside the domain of the limit formula

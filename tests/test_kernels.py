@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from tvacov.errors import ConfigurationError
 from tvacov.kernels import Kernel, epanechnikov
@@ -13,6 +13,14 @@ def test_epanechnikov_pointwise_values():
     u = np.array([-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 3.7])
     expected = np.array([0.0, 0.0, 0.5625, 0.75, 0.5625, 0.0, 0.0])
     assert_allclose(k(u), expected, rtol=0, atol=0)
+
+
+def test_epanechnikov_matches_closed_form_bitwise():
+    # the in-place evaluation performs the closed form's operations in order
+    k = epanechnikov()
+    u = np.random.default_rng(3).uniform(-1.6, 1.6, size=(37, 41))
+    assert_array_equal(k(u), 0.75 * np.maximum(0.0, 1.0 - u * u))
+    assert k(0.5) == 0.5625 and k(-1.5) == 0.0
 
 
 def test_constants_match_quadrature():

@@ -8,7 +8,7 @@ against an explicitly assembled hat matrix.
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 import tvacov.locallinear as ll
 from tvacov.errors import ConfigurationError, SingularDesignError
@@ -38,6 +38,31 @@ def brute_force_fit(values, t, b, kernel):
     yw = values[keep] * sw
     beta, *_ = np.linalg.lstsq(X, yw, rcond=None)
     return beta  # (level, slope) at t
+
+
+def test_level_weights_match_textbook_expression_bitwise():
+    # the smoother builds its weight rows in place; the arithmetic, and so
+    # every bit, is that of the plain expression
+    n, b = 150, 0.2
+    grid = np.linspace(0.0, 1.0, 61)
+    D = unit_grid(n)[None, :] - grid[:, None]
+    KV = 0.75 * np.maximum(0.0, 1.0 - (D / b) * (D / b))
+    S0 = KV.sum(axis=1)
+    S1 = (KV * D).sum(axis=1)
+    S2 = (KV * D * D).sum(axis=1)
+    ref = KV * (S2[:, None] - D * S1[:, None]) / (S0 * S2 - S1 * S1)[:, None]
+    assert_array_equal(weight_matrix(n, grid, b, KERN), ref)
+    values = np.random.default_rng(2).normal(size=n)
+    full = unit_grid(n)
+    D = full[None, :] - full[:, None]
+    KV = 0.75 * np.maximum(0.0, 1.0 - (D / b) * (D / b))
+    S0 = KV.sum(axis=1)
+    S1 = (KV * D).sum(axis=1)
+    S2 = (KV * D * D).sum(axis=1)
+    den = S0 * S2 - S1 * S1
+    fitted, _ = fit_at_data(values, b, KERN)
+    assert_array_equal(fitted, (KV * (S2[:, None] - D * S1[:, None])
+                                / den[:, None]) @ values)
 
 
 def test_weight_identities():

@@ -15,6 +15,7 @@ from tvacov.errors import (
 from tvacov.kernels import epanechnikov
 from tvacov.locallinear import CurveOnGrid, interior_grid, weight_matrix
 from tvacov.procgen import generate, model_preset
+from tvacov import scb
 from tvacov.scb import (
     BandResult,
     bootstrap_quantile,
@@ -49,6 +50,69 @@ def test_proxy_chunking_is_invisible():
     # the first 1000 draws do not depend on how many more are requested
     fewer = proxy_draws(n, b, KERN, grid, draws=1000, seed=9)
     assert_array_equal(one[:, :1000], fewer)
+
+
+@pytest.mark.parametrize("n, b", [(80, 0.25), (797, 0.45), (3997, 0.2)])
+@pytest.mark.parametrize("grid_kind", ["design", "linspace"])
+def test_band_limited_product_matches_dense_weights(n, b, grid_kind):
+    # the row blocks skip only exact zeros of the weights, so on the same
+    # draws the product agrees with the dense one up to summation order
+    grid = (interior_grid(n, b) if grid_kind == "design"
+            else np.linspace(b, 1.0 - b, 97))
+    u = scb._draw_block(n, 3, 0, 64)
+    got = np.full((grid.size, 64), np.nan)
+    for rows, values in scb._proxy_values(
+            scb._proxy_weights(n, b, KERN, grid, 0.5), u):
+        got[rows] = values
+    dense = (weight_matrix(n, grid, b, KERN) * 0.5) @ u.T
+    sup = np.abs(dense).max(axis=0)
+    assert np.all(np.abs(got - dense) <= 1e-13 * sup)
+    assert_allclose(np.abs(got).max(axis=0), sup, rtol=1e-13, atol=0)
+
+
+def test_draw_rows_match_column_fill():
+    # row d of a block is the substream keyed by d, drawn whole
+    n, seed, lo, hi = 97, 21, 512, 530
+    ref = np.empty((n, hi - lo))
+    for d in range(lo, hi):
+        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(d,)))
+        ref[:, d - lo] = rng.standard_normal(n)
+    assert_array_equal(scb._draw_block(n, seed, lo, hi), ref.T)
+
+
+def test_quantile_interval_covers_and_narrows():
+    small = bootstrap_quantile(100, 0.2, KERN, draws=1000, seed=13)
+    large = bootstrap_quantile(100, 0.2, KERN, draws=10_000, seed=13)
+    widths = []
+    for q in (small, large):
+        lo, hi = q.quantile_interval()
+        assert lo <= q.quantile <= hi
+        assert (lo, hi) == q.quantile_interval()
+        assert lo in q.sup_draws and hi in q.sup_draws
+        widths.append(hi - lo)
+    assert widths[1] < 0.5 * widths[0]
+    lo99, hi99 = small.quantile_interval(0.99)
+    lo95, hi95 = small.quantile_interval(0.95)
+    assert lo99 <= lo95 and hi95 <= hi99
+    with pytest.raises(ConfigurationError):
+        small.quantile_interval(1.0)
+
+
+def test_quantile_interval_order_statistics():
+    # 1000 draws, level 0.95 quantile: the binomial tails put the interval
+    # at order statistics 936 and 964 (1-based)
+    q = bootstrap_quantile(100, 0.2, KERN, draws=1000, seed=13)
+    x = np.sort(q.sup_draws)
+
+    def below(j):  # P(Binomial(1000, 0.95) <= j)
+        return sum(math.comb(1000, k) * 0.95**k * 0.05 ** (1000 - k)
+                   for k in range(j + 1))
+
+    # X_(936) above the quantile needs at most 935 draws below it, and
+    # X_(964) below it needs at least 964; both are the tightest choices
+    assert below(935) <= 0.025 < below(936)
+    assert 1.0 - below(963) <= 0.025 < 1.0 - below(962)
+    assert q.quantile_interval() == (x[935], x[963])
 
 
 def test_bootstrap_quantile_deterministic():

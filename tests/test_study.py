@@ -180,6 +180,17 @@ def test_config_validation():
                     bandwidth_grid=np.array([0.4, 0.45]))
 
 
+def test_config_block_width_bound():
+    # m <= (n - h) // 4 for the fixed h, else for the top of the lag scan
+    # (default_start_lag(160) = 5, or h0)
+    StudyConfig(n=160, h=3, m=39)
+    with pytest.raises(ConfigurationError, match=r"\[1, 38\]"):
+        StudyConfig(n=160, h=None, m=39)
+    StudyConfig(n=160, h=None, m=38)
+    with pytest.raises(ConfigurationError, match=r"\[1, 37\]"):
+        StudyConfig(n=160, h=None, h0=10, m=38)
+
+
 def test_lags_deduplicated_and_sorted():
     cfg = small_config(lags=(1, 0, 1))
     assert cfg.lags == (0, 1)
