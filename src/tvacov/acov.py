@@ -271,9 +271,6 @@ def estimate_lags(
         if grid_points is not None:
             grid = np.linspace(b_lag, 1.0 - b_lag, int(grid_points))
         band_grid = interior_grid(rho_h.size, b_lag) if grid is None else grid
-        # Band scales first: the dense (grid x n) weights of lrv_curve set
-        # the peak memory at large n, and that peak is lower ahead of the
-        # lag-k fit on the band grid.
         pair = _residual_pair(y, max(lag, 1), h, b_lag, kernel, fits)
         sigma, m_lag, tau_lag = _band_scale(pair, m_lag, tau_lag, kernel,
                                             band_grid)

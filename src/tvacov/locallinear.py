@@ -12,6 +12,11 @@ downstream (difference-based curve estimates, hat traces for cross-validation,
 bootstrap weight matrices) is built on these weights, so this module keeps them
 exact: sums are evaluated with numpy's pairwise accumulation and the weight
 identities sum w_i = 1, sum w_i (t_i - t) = 0 hold to ~1e-15.
+
+One window function, `_window`, holds all of that arithmetic for a chunk of
+evaluation points; every public smoother is a loop over chunks of at most
+`_CHUNK_BUDGET` (chunk x n) cells, each freed before the next is built, and
+`lrv.lrv_curve` takes its Nadaraya-Watson rows from the same `_kernel_rows`.
 """
 
 from __future__ import annotations
@@ -116,17 +121,34 @@ def _check_bandwidth(b: float) -> float:
     return b
 
 
-def _row_blocks(
-    t_eval: np.ndarray, n: int, b: float, kernel: Kernel
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Kernel values, signed distances and the WLS denominator for a chunk.
+def _chunk_rows(n: int) -> int:
+    """Evaluation points per chunk, so a (chunk x n) array stays in budget."""
+    return max(1, _CHUNK_BUDGET // n)
 
-    Returns (KV, D, den) where D[g, i] = t_i - t_eval[g]. Raises if any row
-    has a degenerate window.
+
+def _kernel_rows(
+    t_eval: np.ndarray, n: int, b: float, kernel: Kernel
+) -> tuple[np.ndarray, np.ndarray]:
+    """Kernel values K(D / b) and distances D[g, i] = t_i - t_eval[g]."""
+    D = unit_grid(n)[None, :] - t_eval[:, None]
+    return kernel(D / b), D
+
+
+def _window(
+    t_eval: np.ndarray, n: int, b: float, kernel: Kernel,
+    with_slope: bool = False,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray | None]:
+    """Local-linear weights for one chunk of evaluation points.
+
+    Returns (rows, S2, den, slope_rows): the level-weight rows
+    KV (S2 - D S1) / den, the window moment S2 and the WLS denominator
+    den = S0 S2 - S1^2 per point, and the derivative rows
+    KV (S0 D - S1) / den when ``with_slope``. Each moment is summed once,
+    and every row array is built in place (the level rows in D's buffer),
+    so the chunk never holds more than three (chunk x n) arrays. Raises if
+    any window is degenerate.
     """
-    t_data = unit_grid(n)
-    D = t_data[None, :] - t_eval[:, None]
-    KV = kernel(D / b)
+    KV, D = _kernel_rows(t_eval, n, b, kernel)
     engaged = np.count_nonzero(KV, axis=1)
     if np.any(engaged < _MIN_POINTS):
         g = int(np.argmax(engaged < _MIN_POINTS))
@@ -139,49 +161,25 @@ def _row_blocks(
     S1 = KD.sum(axis=1)
     KD *= D
     S2 = KD.sum(axis=1)
+    del KD
     den = S0 * S2 - S1 * S1
     if np.any(den <= _DEN_FLOOR):
         g = int(np.argmax(den <= _DEN_FLOOR))
         raise SingularDesignError(
             f"singular design at t={t_eval[g]:.6g}: S0 S2 - S1^2 = {den[g]:.3e}"
         )
-    return KV, D, den
-
-
-def _level_rows(
-    t_eval: np.ndarray, n: int, b: float, kernel: Kernel
-) -> np.ndarray:
-    KV, D, den = _row_blocks(t_eval, n, b, kernel)
-    S1 = (KV * D).sum(axis=1)
-    S2 = (KV * D * D).sum(axis=1)
-    return _level_weights(KV, D, S1, S2, den)
-
-
-def _level_weights(
-    KV: np.ndarray, D: np.ndarray, S1: np.ndarray, S2: np.ndarray,
-    den: np.ndarray,
-) -> np.ndarray:
-    """KV (S2 - D S1) / den, row-wise, built in a single (chunk x n) buffer
-    so a chunk never holds more than three such arrays at once."""
-    rows = D * S1[:, None]
+    slope = None
+    if with_slope:
+        slope = S0[:, None] * D
+        slope -= S1[:, None]
+        slope *= KV
+        slope /= den[:, None]
+    rows = D
+    rows *= S1[:, None]
     np.subtract(S2[:, None], rows, out=rows)
     rows *= KV
     rows /= den[:, None]
-    return rows
-
-
-def _slope_rows(
-    t_eval: np.ndarray, n: int, b: float, kernel: Kernel
-) -> np.ndarray:
-    KV, D, den = _row_blocks(t_eval, n, b, kernel)
-    S0 = KV.sum(axis=1)
-    S1 = (KV * D).sum(axis=1)
-    return KV * (S0[:, None] * D - S1[:, None]) / den[:, None]
-
-
-def _eval_chunks(grid: np.ndarray, n: int) -> list[np.ndarray]:
-    step = max(1, _CHUNK_BUDGET // max(n, 1))
-    return [grid[i : i + step] for i in range(0, grid.size, step)]
+    return rows, S2, den, slope
 
 
 def weights(n: int, t: float, b: float, kernel: Kernel) -> WeightSet:
@@ -209,7 +207,7 @@ def weights(n: int, t: float, b: float, kernel: Kernel) -> WeightSet:
     t = float(t)
     if not 0.0 <= t <= 1.0:
         raise ConfigurationError(f"evaluation point must be in [0, 1], got {t!r}")
-    row = _level_rows(np.array([t]), n, b, kernel)[0]
+    row = _window(np.array([t]), n, b, kernel)[0][0]
     engaged = np.nonzero(row != 0.0)[0]
     start = int(engaged[0])
     stop = int(engaged[-1]) + 1
@@ -223,10 +221,9 @@ def weight_matrix(
     b = _check_bandwidth(b)
     grid = np.asarray(grid, dtype=float)
     out = np.empty((grid.size, n))
-    pos = 0
-    for chunk in _eval_chunks(grid, n):
-        out[pos : pos + chunk.size] = _level_rows(chunk, n, b, kernel)
-        pos += chunk.size
+    step = _chunk_rows(n)
+    for lo in range(0, grid.size, step):
+        out[lo : lo + step] = _window(grid[lo : lo + step], n, b, kernel)[0]
     return out
 
 
@@ -279,14 +276,14 @@ def fit_curve(
 
     level = np.empty(grid.size)
     slope = np.empty(grid.size) if with_slope else None
-    pos = 0
-    for chunk in _eval_chunks(grid, n):
-        level[pos : pos + chunk.size] = _level_rows(chunk, n, b, kernel) @ values
+    step = _chunk_rows(n)
+    for lo in range(0, grid.size, step):
+        rows, _, _, slope_rows = _window(grid[lo : lo + step], n, b, kernel,
+                                         with_slope)
+        level[lo : lo + step] = rows @ values
         if with_slope:
-            slope[pos : pos + chunk.size] = (
-                _slope_rows(chunk, n, b, kernel) @ values
-            )
-        pos += chunk.size
+            slope[lo : lo + step] = slope_rows @ values
+        del rows, slope_rows  # free this chunk before the next is built
     if not np.all(np.isfinite(level)):
         raise SingularDesignError("fit produced non-finite values")
     return CurveOnGrid(grid=grid, values=level, slope=slope)
@@ -309,26 +306,15 @@ def fit_at_data(
 
     fitted = np.empty(n)
     trace = 0.0
-    pos = 0
-    for chunk in _eval_chunks(grid, n):
-        KV, D, den = _row_blocks(chunk, n, b, kernel)
-        S1 = (KV * D).sum(axis=1)
-        S2 = (KV * D * D).sum(axis=1)
-        rows = _level_weights(KV, D, S1, S2, den)
-        fitted[pos : pos + chunk.size] = rows @ values
+    step = _chunk_rows(n)
+    for lo in range(0, n, step):
+        rows, S2, den, _ = _window(grid[lo : lo + step], n, b, kernel)
+        fitted[lo : lo + step] = rows @ values
         trace += float(np.sum(k0 * S2 / den))
-        pos += chunk.size
+        del rows  # free this chunk before the next is built
     return fitted, trace
 
 
 def hat_trace(n: int, b: float, kernel: Kernel) -> float:
     """trace of the local-linear hat matrix for length n and bandwidth b."""
-    b = _check_bandwidth(b)
-    grid = unit_grid(n)
-    k0 = float(kernel(np.array([0.0]))[0])
-    trace = 0.0
-    for chunk in _eval_chunks(grid, n):
-        KV, D, den = _row_blocks(chunk, n, b, kernel)
-        S2 = (KV * D * D).sum(axis=1)
-        trace += float(np.sum(k0 * S2 / den))
-    return trace
+    return fit_at_data(np.zeros(n), b, kernel)[1]

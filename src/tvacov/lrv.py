@@ -10,7 +10,8 @@ estimated from overlapping block sums of the fitted residuals:
 with Nadaraya-Watson weights wtilde_i(t) = K_tau(t_i - t) / sum_l K_tau. The
 estimate is symmetric PSD by construction (a convex combination of rank-one
 outer products). Blocks that stick out of 1..n are truncated and divided by
-their true size instead of 2m + 1.
+their true size instead of 2m + 1. The weights are built chunk by chunk from
+the smoother's kernel rows, so no (grid x n) kernel matrix is ever formed.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import numpy as np
 
 from .errors import ConfigurationError, SingularDesignError
 from .kernels import Kernel
-from .locallinear import CurveOnGrid, fit_curve
+from .locallinear import CurveOnGrid, _chunk_rows, _kernel_rows, fit_curve
 from .diffseries import difference
 from .procgen import TimeSeries
 
@@ -200,14 +201,19 @@ def lrv_curve(
     grid = np.asarray(grid, dtype=float)
 
     nmat = _block_products(res.eps, m)
-    kv = kernel((t_data[None, :] - grid[:, None]) / tau)
-    rowsum = kv.sum(axis=1)
-    if np.any(rowsum <= 0.0):
-        g = int(np.argmax(rowsum <= 0.0))
-        raise SingularDesignError(
-            f"empty smoothing window at t={grid[g]:.6g} for tau={tau}"
-        )
-    flat = (kv / rowsum[:, None]) @ nmat  # (G, 3)
+    flat = np.empty((grid.size, 3))
+    step = _chunk_rows(n)
+    for lo in range(0, grid.size, step):
+        kv = _kernel_rows(grid[lo : lo + step], n, tau, kernel)[0]
+        rowsum = kv.sum(axis=1)
+        if np.any(rowsum <= 0.0):
+            g = lo + int(np.argmax(rowsum <= 0.0))
+            raise SingularDesignError(
+                f"empty smoothing window at t={grid[g]:.6g} for tau={tau}"
+            )
+        kv /= rowsum[:, None]
+        flat[lo : lo + step] = kv @ nmat
+        del kv  # free this chunk before the next is built
     mats = np.empty((grid.size, 2, 2))
     mats[:, 0, 0] = flat[:, 0]
     mats[:, 0, 1] = flat[:, 1]

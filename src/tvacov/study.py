@@ -74,7 +74,8 @@ class StudyConfig:
     (``min_volatility=True``) or the plain rules (ceil(n^(1/3)), 0.2).
     Fixed bandwidths and tau lie in (0, 1/2) and 1 <= m <= (n - h) / 4,
     with h the fixed lag or else the largest the lag scan can return
-    (``h0``, default `default_start_lag`); gumbel needs b < 1/e.
+    (``h0``, default `default_start_lag`); gumbel needs b < 1/e. The fixed
+    h, or with h auto the smallest usable max(lags) + 1, must be below n - 2.
     ``quantile_inflation`` scales the bootstrap critical value, for
     sensitivity checks only.
     """
@@ -124,14 +125,16 @@ class StudyConfig:
                 raise ConfigurationError(f"{name} must be in (0, 1/2), got {v!r}")
         if self.m is not None and self.m < 1:
             raise ConfigurationError(f"m must be >= 1, got {self.m!r}")
+        # the smallest h a replication can use must leave enough differences
+        h_low = self.h if self.h is not None else max(lags) + 1
+        if h_low >= self.n - 2:
+            raise ConfigurationError(f"h={h_low} out of range for n={self.n}")
         if self.m is not None:
-            # the largest h a replication can use leaves the fewest blocks;
-            # an h out of range fails every replication on its own check
+            # the largest h a replication can use leaves the fewest blocks
             h = self.h
             if h is None:
                 h = max(self.h0 or default_start_lag(self.n), max(lags) + 1)
-            if h < self.n - 2:
-                _check_block_width([self.m], self.n - h)
+            _check_block_width([self.m], self.n - h)
         if self.threads < 1:
             raise ConfigurationError("threads must be >= 1")
         if self.method not in ("bootstrap", "gumbel"):

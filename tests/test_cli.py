@@ -263,8 +263,10 @@ def test_exit_code_bad_config_key(tmp_path):
 
 
 def test_exit_code_numeric_failure():
+    # bandwidths too small for any window to engage 4 points: every
+    # replication raises SingularDesignError
     rc = main(["study", "--model", "model1", "--n", "50", "--reps", "2",
-               "--draws", "1000", "--h", "48"])
+               "--draws", "1000", "--b-h", "0.01", "--b-k", "0.01"])
     assert rc == 4
 
 
@@ -274,6 +276,9 @@ def test_exit_code_study_bad_tuning():
             "--draws", "1000"]
     for bad in (["--b-h", "0.6"], ["--tau", "0.7"], ["--m", "0"]):
         assert main(base + bad) == 2, bad
+    # h >= n - 2 leaves too few differences for any replication
+    assert main(["study", "--model", "model1", "--n", "50", "--reps", "2",
+                 "--draws", "1000", "--h", "48"]) == 2
 
 
 def test_exit_code_block_width_above_working_length(tmp_path, monkeypatch):

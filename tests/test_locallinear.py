@@ -6,6 +6,8 @@ of the same weighted regression, and the streaming hat trace is checked
 against an explicitly assembled hat matrix.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
@@ -23,6 +25,7 @@ from tvacov.locallinear import (
     weight_matrix,
     weights,
 )
+from tvacov.lrv import ResidualPair, _block_products, lrv_curve
 
 KERN = epanechnikov()
 
@@ -40,7 +43,7 @@ def brute_force_fit(values, t, b, kernel):
     return beta  # (level, slope) at t
 
 
-def test_level_weights_match_textbook_expression_bitwise():
+def test_level_weights_match_textbook_expression_bitwise(monkeypatch):
     # the smoother builds its weight rows in place; the arithmetic, and so
     # every bit, is that of the plain expression
     n, b = 150, 0.2
@@ -63,6 +66,21 @@ def test_level_weights_match_textbook_expression_bitwise():
     fitted, _ = fit_at_data(values, b, KERN)
     assert_array_equal(fitted, (KV * (S2[:, None] - D * S1[:, None])
                                 / den[:, None]) @ values)
+    # Nadaraya-Watson rows of the long-run covariance, in one chunk and in
+    # forced 6-point chunks; the reference takes the same rows per product,
+    # because a small dgemm may round a row by the number of rows it is given
+    eps = np.random.default_rng(3).normal(size=(n, 2))
+    D = unit_grid(n)[None, :] - grid[:, None]
+    kv = 0.75 * np.maximum(0.0, 1.0 - (D / b) * (D / b))
+    nw = kv / kv.sum(1)[:, None]
+    nmat = _block_products(eps, 3)
+    res = ResidualPair(eps=eps, lags=(3, 1))
+    for budget, step in ((ll._CHUNK_BUDGET, grid.size), (6 * n, 6)):
+        monkeypatch.setattr(ll, "_CHUNK_BUDGET", budget)
+        flat = np.vstack([nw[i : i + step] @ nmat
+                          for i in range(0, grid.size, step)])
+        mats = lrv_curve(res, 3, b, KERN, grid=grid).matrices
+        assert_array_equal(mats.reshape(-1, 4)[:, [0, 1, 3]], flat)
 
 
 def test_weight_identities():
@@ -143,14 +161,46 @@ def test_hat_trace_matches_explicit_hat_matrix():
         assert abs(trace - np.trace(H)) < 1e-10
 
 
+def _chunked_outputs(vals, grid, b):
+    res = ResidualPair(eps=np.column_stack([vals, vals[::-1]]), lags=(3, 1))
+    fitted, trace = fit_at_data(vals, b, KERN)
+    curve = fit_curve(vals, b, KERN, grid=grid, with_slope=True)
+    return [curve.values, curve.slope, fitted, trace,
+            weight_matrix(vals.size, grid, b, KERN),
+            lrv_curve(res, 3, b, KERN, grid=grid).matrices]
+
+
 def test_chunked_evaluation_matches_unchunked(monkeypatch):
     # chunking only changes BLAS call shapes, so agreement is at ulp level
     vals = np.random.default_rng(2).normal(size=300)
     grid = interior_grid(300, 0.1)
-    full = fit_curve(vals, 0.1, KERN, grid=grid)
+    full = _chunked_outputs(vals, grid, 0.1)
     monkeypatch.setattr(ll, "_CHUNK_BUDGET", 900)  # forces 3-point chunks
-    small = fit_curve(vals, 0.1, KERN, grid=grid)
-    assert_allclose(small.values, full.values, rtol=1e-13, atol=1e-15)
+    small = _chunked_outputs(vals, grid, 0.1)
+    for got, want in zip(small, full):
+        assert_allclose(got, want, rtol=1e-13, atol=1e-15)
+
+
+def test_chunks_bound_traced_memory(monkeypatch):
+    # each chunk is freed before the next is built: the traced peak stays
+    # near three (chunk x n) arrays, far below one dense (grid x n) array
+    n, b = 2001, 0.2
+    monkeypatch.setattr(ll, "_CHUNK_BUDGET", 100_000)
+    chunk_bytes = (100_000 // n) * n * 8
+    vals = np.random.default_rng(4).normal(size=n)
+    res = ResidualPair(eps=np.column_stack([vals, vals[::-1]]), lags=(3, 1))
+    for grid_size, run in (
+        (n, lambda: fit_at_data(vals, b, KERN)),
+        (interior_grid(n, b).size, lambda: lrv_curve(res, 3, b, KERN)),
+    ):
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < grid_size * n * 8
+        assert peak < 4 * chunk_bytes
 
 
 def test_interior_grid():

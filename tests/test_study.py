@@ -118,10 +118,10 @@ def test_naive_replication_matches_step_by_step():
 
 
 def test_failure_fraction_enforced():
-    # a truncation lag that leaves a two-point working series makes every
-    # replication fail; with a zero tolerance the run must abort
+    # bandwidths too small for a line fit make every replication fail;
+    # with a zero tolerance the run must abort
     cfg = StudyConfig(model="model1", n=50, replications=4, lags=(0,),
-                      draws=1000, h=48, max_failure_fraction=0.0)
+                      draws=1000, b_h=0.01, b_k=0.01, max_failure_fraction=0.0)
     with pytest.raises(NumericError):
         run_study(cfg)
 
@@ -172,6 +172,11 @@ def test_config_validation():
                 dict(tau=0.0)):
         with pytest.raises(ConfigurationError):
             StudyConfig(**bad)
+    # h, fixed or at least max(lags) + 1 when auto, must be below n - 2
+    for bad in (dict(h=48), dict(h=48, m=None), dict(h=None, lags=(0, 47))):
+        with pytest.raises(ConfigurationError, match="h=48 out of range"):
+            StudyConfig(n=50, **bad)
+    StudyConfig(n=50, h=47, m=None)
     # the limit formula needs b < 1/e, fixed or cross-validated
     with pytest.raises(ConfigurationError):
         StudyConfig(method="gumbel", b_h=0.4)
