@@ -166,6 +166,32 @@ def _block_products(eps: np.ndarray, m: int) -> np.ndarray:
     return out
 
 
+def _smoothed_blocks(
+    eps: np.ndarray, ms, tau: float, kernel: Kernel, grid: np.ndarray
+) -> np.ndarray:
+    """Sigma(t) on ``grid`` for each half-width in ``ms`` at span tau, shape
+    (len(ms), G, 2, 2): each chunk of kernel rows is normalized once and
+    multiplied once by the (n x 3M) stack of every width's block products."""
+    n = eps.shape[0]
+    nmat = np.hstack([_block_products(eps, m) for m in ms])
+    flat = np.empty((grid.size, nmat.shape[1]))
+    step = _chunk_rows(n)
+    for lo in range(0, grid.size, step):
+        kv = _kernel_rows(grid[lo : lo + step], n, tau, kernel)[0]
+        rowsum = kv.sum(axis=1)
+        if np.any(rowsum <= 0.0):
+            g = lo + int(np.argmax(rowsum <= 0.0))
+            raise SingularDesignError(
+                f"empty smoothing window at t={grid[g]:.6g} for tau={tau}"
+            )
+        kv /= rowsum[:, None]
+        flat[lo : lo + step] = kv @ nmat
+        del kv  # free this chunk before the next is built
+    # (G, 3M) -> (M, G, 3) -> entries (11, 12, 21, 22) of each 2x2 matrix
+    flat = flat.reshape(grid.size, len(ms), 3).transpose(1, 0, 2)
+    return flat[..., [0, 1, 1, 2]].reshape(len(ms), grid.size, 2, 2)
+
+
 def lrv_curve(
     res: ResidualPair,
     m: int,
@@ -200,25 +226,7 @@ def lrv_curve(
             raise ConfigurationError("no design points inside [tau, 1-tau]")
     grid = np.asarray(grid, dtype=float)
 
-    nmat = _block_products(res.eps, m)
-    flat = np.empty((grid.size, 3))
-    step = _chunk_rows(n)
-    for lo in range(0, grid.size, step):
-        kv = _kernel_rows(grid[lo : lo + step], n, tau, kernel)[0]
-        rowsum = kv.sum(axis=1)
-        if np.any(rowsum <= 0.0):
-            g = lo + int(np.argmax(rowsum <= 0.0))
-            raise SingularDesignError(
-                f"empty smoothing window at t={grid[g]:.6g} for tau={tau}"
-            )
-        kv /= rowsum[:, None]
-        flat[lo : lo + step] = kv @ nmat
-        del kv  # free this chunk before the next is built
-    mats = np.empty((grid.size, 2, 2))
-    mats[:, 0, 0] = flat[:, 0]
-    mats[:, 0, 1] = flat[:, 1]
-    mats[:, 1, 0] = flat[:, 1]
-    mats[:, 1, 1] = flat[:, 2]
+    mats = _smoothed_blocks(res.eps, [m], tau, kernel, grid)[0]
     return LongRunCovCurve(grid=grid, matrices=mats, m=m, tau=tau)
 
 

@@ -60,18 +60,19 @@ class StudyConfig:
 
     The tuning defaults are fixed values rather than per-replication
     selection. Re-selecting the bandwidth or the block length on every
-    replication makes the bands noticeably more variable (the criteria
-    surfaces are nearly flat, so the argmin wanders between seeds), which
-    costs several points of simultaneous coverage at these sample sizes.
-    The fixed defaults below were calibrated once on the benchmark designs
-    and stay out of the data's way; every knob can be re-enabled.
+    replication narrows the bands and makes them more variable (the
+    criteria surfaces are nearly flat, so the argmin wanders between seeds).
+    On model1 at n = 400 (0.94 / 0.97 at lags 0 / 1 with these defaults)
+    re-selected blocks cost 5-21 points of coverage and a cross-validated
+    bandwidth 31-71; see the data-driven coverage table in ROADMAP.md.
+    The fixed defaults were calibrated once on the benchmark designs.
 
     ``h`` fixes the truncation lag; ``h=None`` re-selects it per replication
     with the lag scan. ``b_h``/``b_k`` fix the regression bandwidths;
     ``None`` switches that bandwidth to per-replication cross-validation
     over ``bandwidth_grid``. ``m``/``tau`` fix the long-run covariance
-    blocks; when either is None they come from minimum volatility
-    (``min_volatility=True``) or the plain rules (ceil(n^(1/3)), 0.2).
+    blocks; one left None comes from minimum volatility (the other stays
+    fixed; ``min_volatility=True``) or its plain rule (ceil(n^(1/3)), 0.2).
     Fixed bandwidths and tau lie in (0, 1/2) and 1 <= m <= (n - h) / 4,
     with h the fixed lag or else the largest the lag scan can return
     (``h0``, default `default_start_lag`); gumbel needs b < 1/e. The fixed
@@ -272,13 +273,13 @@ class _QuantileStore:
 
 
 def _blocks(cfg: StudyConfig, n_work: int) -> tuple[int | None, float | None]:
-    """The (m, tau) of a replication with working length ``n_work``;
-    (None, None) leaves both to minimum volatility."""
-    if cfg.m is not None and cfg.tau is not None:
-        return int(cfg.m), float(cfg.tau)
-    if cfg.min_volatility:
-        return None, None
-    return max(1, math.ceil(n_work ** (1 / 3))), 0.2
+    """The (m, tau) of a replication with working length ``n_work``. A None
+    stays None for minimum volatility, or else takes its plain rule."""
+    m, tau = cfg.m, cfg.tau
+    if not cfg.min_volatility:
+        m = max(1, math.ceil(n_work ** (1 / 3))) if m is None else m
+        tau = 0.2 if tau is None else tau
+    return m, tau
 
 
 def _score(cfg: StudyConfig, store: _QuantileStore, rep: int,

@@ -9,11 +9,12 @@ over a candidate grid (default 0.15..0.45 in steps of 0.01). The block
 parameters (m, tau) of the long-run covariance are picked by extended
 minimum volatility: every interior grid pair is scored by the integrated
 sample dispersion of the nine curves in its cross-shaped neighborhood, and
-the most stable pair wins.
+the most stable pair wins. Each span is smoothed once, for every block width.
 """
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,7 +22,7 @@ import numpy as np
 from .errors import ConfigurationError, SingularDesignError, TuningError
 from .kernels import Kernel, epanechnikov
 from .locallinear import fit_at_data
-from .lrv import ResidualPair, lrv_curve
+from .lrv import LongRunCovCurve, ResidualPair, _smoothed_blocks
 
 __all__ = [
     "GcvResult",
@@ -216,7 +217,8 @@ def min_volatility(
     Curves for every grid pair are evaluated on the design points of
     ``res``; each curve is computed on [tau, 1 - tau] and extended to the
     full grid by nearest-value padding so that curves with different tau are
-    comparable on all of [0, 1].
+    comparable on all of [0, 1]. A pair for which `lrv_curve` would raise,
+    its finite, symmetric and PSD checks included, stays invalid.
     """
     if kernel is None:
         kernel = epanechnikov()
@@ -236,22 +238,19 @@ def min_volatility(
     G = t_grid.size
     curves = np.zeros((len(m_grid), len(tau_grid), G, 2, 2))
     valid = np.zeros((len(m_grid), len(tau_grid)), dtype=bool)
+    fit = np.flatnonzero((m_grid >= 1) & (m_grid <= n // 4))
     for j, tau in enumerate(tau_grid):
-        inside = (t_grid >= tau) & (t_grid <= 1.0 - tau)
-        if not np.any(inside):
+        inside = np.flatnonzero((t_grid >= tau) & (t_grid <= 1.0 - tau))
+        if not (0.0 < tau < 0.5 and inside.size and fit.size):
             continue
-        lo = int(np.argmax(inside))
-        hi = G - int(np.argmax(inside[::-1]))
-        sub = t_grid[lo:hi]
-        for i, m in enumerate(m_grid):
-            try:
-                c = lrv_curve(res, int(m), float(tau), kernel, grid=sub)
-            except (SingularDesignError, ConfigurationError):
-                continue
-            padded = np.empty((G, 2, 2))
-            padded[lo:hi] = c.matrices
-            padded[:lo] = c.matrices[0]
-            padded[hi:] = c.matrices[-1]
-            curves[i, j] = padded
-            valid[i, j] = True
+        sub = t_grid[inside]  # one run of design points
+        try:
+            mats = _smoothed_blocks(res.eps, m_grid[fit], tau, kernel, sub)
+        except SingularDesignError:
+            continue
+        pad = np.clip(np.arange(G) - inside[0], 0, inside.size - 1)
+        for i, c in zip(fit, mats):
+            with contextlib.suppress(ConfigurationError):
+                LongRunCovCurve(sub, c, int(m_grid[i]), float(tau))
+                curves[i, j], valid[i, j] = c[pad], True
     return select_pair_from_curves(curves, valid, m_grid, tau_grid, t_grid)

@@ -134,6 +134,28 @@ def test_auto_lag_respects_requested_lags():
     assert rep.config["h"] == "auto"
 
 
+@pytest.mark.parametrize("min_vol", [False, True])
+def test_fixed_block_value_kept_when_the_other_is_auto(min_vol):
+    # only the value left None is selected (rule or minimum volatility);
+    # n=200, h=3: the rule pair is (ceil(197^(1/3)), 0.2) = (6, 0.2)
+    def blocks(runner, **over):
+        rep = runner(small_config(n=200, replications=2,
+                                  min_volatility=min_vol, **over))
+        assert rep.n_success == 2
+        return {(d["m"][lag], d["tau"][lag])
+                for d in rep.details for lag in (0, 1)}
+
+    for runner in (run_study, run_naive_study):
+        pairs = blocks(runner, m=5, tau=None)
+        assert {m for m, _ in pairs} == {5}
+        if not min_vol:
+            assert {tau for _, tau in pairs} == {0.2}
+        pairs = blocks(runner, m=None, tau=0.3)
+        assert {tau for _, tau in pairs} == {0.3}
+        if not min_vol:
+            assert {m for m, _ in pairs} == {6}
+
+
 def test_config_echo_shape():
     rep = run_study(small_config(b_h=None, replications=1))
     cfgd = rep.config

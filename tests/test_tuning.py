@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from tvacov.errors import ConfigurationError, TuningError
+from tvacov.errors import ConfigurationError, SingularDesignError, TuningError
 from tvacov.kernels import epanechnikov
 from tvacov.locallinear import fit_at_data
-from tvacov.lrv import ResidualPair
+from tvacov.lrv import ResidualPair, lrv_curve, residuals
+from tvacov.procgen import generate, model_preset
 from tvacov.tuning import (
     default_bandwidth_grid,
     default_block_grid,
@@ -247,3 +248,66 @@ def test_min_volatility_needs_five_per_axis():
         min_volatility(iid_pair(0), m_grid=np.array([2, 3, 4, 5]))
     with pytest.raises(ConfigurationError):
         min_volatility(iid_pair(0), tau_grid=np.array([0.1, 0.2, 0.3, 0.4]))
+
+
+def per_pair_min_volatility(res, m_grid, tau_grid):
+    """Minimum volatility the long way: one `lrv_curve` per (m, tau) on the
+    design points inside [tau, 1 - tau], nearest-value padding to all design
+    points, a pair whose call raises left invalid."""
+    t = res.grid
+    curves = np.zeros((len(m_grid), len(tau_grid), t.size, 2, 2))
+    valid = np.zeros(curves.shape[:2], dtype=bool)
+    for j, tau in enumerate(tau_grid):
+        inside = np.flatnonzero((t >= tau) & (t <= 1.0 - tau))
+        if inside.size == 0:
+            continue
+        lo, hi = inside[0], inside[-1] + 1
+        for i, m in enumerate(m_grid):
+            try:
+                c = lrv_curve(res, int(m), float(tau), KERN, grid=t[lo:hi])
+            except (SingularDesignError, ConfigurationError):
+                continue
+            curves[i, j, :lo] = c.matrices[0]
+            curves[i, j, lo:hi] = c.matrices
+            curves[i, j, hi:] = c.matrices[-1]
+            valid[i, j] = True
+    return select_pair_from_curves(curves, valid, m_grid, tau_grid, t)
+
+
+def ar1_pair(seed, n=400, phi=0.6):
+    rng = np.random.default_rng(seed)
+    z = rng.normal(size=(n + 100, 2))
+    x = np.empty_like(z)
+    x[0] = z[0]
+    for i in range(1, n + 100):
+        x[i] = phi * x[i - 1] + z[i]
+    return ResidualPair(eps=x[100:], lags=(3, 1))
+
+
+@pytest.mark.parametrize("pair", ["iid", "ar1", "model1"])
+@pytest.mark.parametrize("grids", ["default", "out_of_range"])
+def test_min_volatility_matches_per_pair_curves(pair, grids):
+    # every block width of a span is smoothed in one pass; the choice, the
+    # pattern of unscored pairs and the scores must match one lrv_curve
+    # call per pair (stacked products may round differently in the last bit)
+    res = {
+        "iid": lambda: iid_pair(3),
+        "ar1": lambda: ar1_pair(4),
+        "model1": lambda: residuals(
+            generate(*model_preset("model1"), 400, 1), 1, 3, 0.2, KERN),
+    }[pair]()
+    m_grid, tau_grid = default_block_grid(res.n), default_span_grid()
+    if grids == "out_of_range":
+        # m = n // 4 + 1 and tau = 0.5 (whose only design point is t = 1/2
+        # for even n) are invalid, so their neighborhoods score inf
+        m_grid = np.array([2, 3, 5, 8, 11, 14, res.n // 4 + 1])
+        tau_grid = np.array([0.10, 0.15, 0.20, 0.25, 0.30, 0.50])
+    got = min_volatility(res, m_grid=m_grid, tau_grid=tau_grid, kernel=KERN)
+    want = per_pair_min_volatility(res, m_grid, tau_grid)
+    assert (got.m, got.tau) == (want.m, want.tau)
+    assert_array_equal(np.isfinite(got.ise), np.isfinite(want.ise))
+    assert_array_equal(np.isnan(got.ise), np.isnan(want.ise))
+    finite = np.isfinite(want.ise)
+    assert_allclose(got.ise[finite], want.ise[finite], rtol=1e-12, atol=0)
+    if grids == "out_of_range":
+        assert np.isinf(want.ise).any() and finite.any()
