@@ -240,7 +240,8 @@ def estimate_lags(
     `sigma_functionals` on the estimate's grid. ``b_k``, ``m`` and ``tau``
     take one value or one per (positive) lag; a fixed ``m`` must lie in
     [1, (N - h) // 4], checked before any tuning. ``grid_points`` evaluates
-    on that many equispaced points of [b, 1-b] instead of the design points.
+    on that many (at least 1) equispaced points of [b, 1-b] instead of the
+    design points.
 
     Each difference series is fitted once per (lag, bandwidth) at its design
     points; residuals and default-grid lag-h levels are read off that fit,
@@ -251,6 +252,8 @@ def estimate_lags(
         raise ConfigurationError(f"h={h} out of range for n={y.n}")
     if any(not 0 <= k < h for k in lags):
         raise ConfigurationError(f"every lag must be in [0, h={h})")
+    if grid_points is not None and grid_points < 1:
+        raise ConfigurationError(f"grid_points must be >= 1, got {grid_points}")
     b_k = iter(_per_lag(b_k, sum(k > 0 for k in lags), "b_k"))
     b = [b_h if k == 0 else next(b_k) for k in lags]
     m = _per_lag(m, len(lags), "m")

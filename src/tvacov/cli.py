@@ -1,10 +1,18 @@
 """Command-line front end.
 
-Subcommands: estimate, study, naive-study, tune, lag-select. Options can
-also come from a flat key=value config file (``--config``); explicit flags
-win over config values, config values win over defaults. Every run that
-writes output also writes ``manifest.txt`` holding the fully resolved
-parameters; the manifest is itself a valid config file, so
+Subcommands: estimate, study, naive-study, tune, lag-select. One option
+table declares every key once: its parser (the same for a flag value and a
+config value), which commands take it and in what manifest order, whether
+only a config file sets it (``kernel``, ``bandwidth_grid``), and whether it
+is a recorded result a command never reads back (tune's b_h, b_k, m, tau
+and lag-select's h). Options can also come from a flat key=value config
+file (``--config``); explicit flags win over config values, config values
+win over defaults. ``auto`` (choose from the data) is a value of h, h0,
+b_h, b_k, m, tau and grid_points; a study takes one value each of b_k, m
+and tau. A key the command does not take, or a value its parser rejects,
+exits 2 before any series is loaded. Every run that writes output also
+writes ``manifest.txt`` holding the fully resolved parameters; the manifest
+is itself a valid config file, so
 
     tvacov estimate --config out/manifest.txt --out other
 
@@ -19,7 +27,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import math
 import sys
 from pathlib import Path
@@ -32,7 +39,12 @@ from .diffseries import select_lag
 from .errors import ConfigurationError, ParseError, TvacovError
 from .kernels import epanechnikov
 from .procgen import TimeSeries, generate, model_preset, PRESET_NAMES
-from .scb import bandwidth_candidates, bootstrap_quantile, build_band
+from .scb import (
+    bandwidth_candidates,
+    bootstrap_quantile,
+    build_band,
+    check_band_settings,
+)
 from .study import StudyConfig, _child_seed, run_naive_study, run_study
 
 __all__ = ["main", "ingest_csv"]
@@ -86,140 +98,174 @@ def ingest_csv(path: str | Path) -> TimeSeries:
 
 
 # ---------------------------------------------------------------------------
-# config file handling
+# the option table: one parser per key, for a flag value and a config value
 
 def _parse_bool(s: str) -> bool:
-    low = s.strip().lower()
+    low = s.lower()
     if low in ("true", "1", "yes"):
         return True
     if low in ("false", "0", "no"):
         return False
-    raise ConfigurationError(f"expected a boolean, got {s!r}")
+    raise ValueError(s)
 
 
-def _parse_lags(s: str) -> tuple[int, ...]:
-    try:
-        lags = tuple(int(p) for p in str(s).split(",") if p.strip() != "")
-    except ValueError:
-        raise ConfigurationError(f"bad lag list {s!r}") from None
-    if not lags:
-        raise ConfigurationError("lag list is empty")
-    return lags
+def _list(parse):
+    def parse_list(s: str) -> tuple:
+        values = tuple(parse(p) for p in s.split(",") if p.strip())
+        if not values:
+            raise ValueError(s)
+        return values
+    return parse_list
 
 
-def _parse_float_list(s: str) -> tuple[float, ...]:
-    try:
-        return tuple(float(p) for p in str(s).split(",") if p.strip() != "")
-    except ValueError:
-        raise ConfigurationError(f"bad number list {s!r}") from None
+def _at_least(low: int):
+    def parse_int(s: str) -> int:
+        value = int(s)
+        if value < low:
+            raise ValueError(s)
+        return value
+    return parse_int
 
 
-def _parse_int_list(s: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(p) for p in str(s).split(",") if p.strip() != "")
-    except ValueError:
-        raise ConfigurationError(f"bad integer list {s!r}") from None
+def _choice(*names: str):
+    def parse_choice(s: str) -> str:
+        if s not in names:
+            raise ValueError(s)
+        return s
+    return parse_choice
 
 
-def _identity(s: str) -> str:
-    return s
-
-
-_OPTIONAL = object()
-
-# key -> parser for values arriving via a config file. "command" and
-# "version" are manifest bookkeeping and are accepted but ignored.
-_CONFIG_PARSERS = {
-    "command": _identity,
-    "version": _identity,
-    "input": _identity,
-    "model": _identity,
+_PARSERS = {
+    "input": str,
+    "model": str,
     "n": int,
-    "seed": int,
-    "lags": _parse_lags,
+    "seed": _at_least(0),  # numpy seeds are nonnegative
+    "threads": _at_least(1),
+    "reps": int,
+    "lags": _list(int),
     "alpha": float,
     "draws": int,
-    "method": _identity,
-    "kernel": _identity,
+    "method": _choice("bootstrap", "gumbel"),
+    "kernel": _choice("epanechnikov"),
     "h": int,
     "h0": int,
     "threshold": float,
     "b_h": float,
-    "b_k": _parse_float_list,
-    "m": _parse_int_list,
-    "tau": _parse_float_list,
-    "min_volatility": _parse_bool,
+    "b_k": _list(float),
+    "m": _list(int),
+    "tau": _list(float),
     "grid_points": int,
-    "threads": int,
-    "reps": int,
+    "min_volatility": _parse_bool,
     "full": _parse_bool,
-    "bandwidth_grid": _parse_float_list,
+    "bandwidth_grid": _list(float),
+}
+# keys that also take "auto" (None): chosen from the data, or by StudyConfig
+_AUTO = {"h", "h0", "b_h", "b_k", "m", "tau", "grid_points"}
+_HELP = {
+    "input": "CSV input (1 or 2 columns)",
+    "model": f"preset: {', '.join(PRESET_NAMES)}",
+    "n": "length for --model",
+    "lags": "e.g. 0,1",
+    "method": "bootstrap or gumbel",
+    "full": "R=500, 10000 draws",
 }
 
-_AUTO_KEYS = {"h", "h0", "b_h", "b_k", "m", "tau", "grid_points"}
+# Per command, the keys it takes, in manifest order. Every command also
+# takes threads, which changes no output and so is never recorded.
+_SOURCE = ("input", "model", "n", "seed")
+_STUDY_KEYS = ("model", "n", "reps", "lags", "alpha", "draws", "seed",
+               "method", "kernel", "h", "b_h", "b_k", "m", "tau",
+               "min_volatility", "full", "bandwidth_grid")
+_KEYS = {
+    "estimate": (*_SOURCE, "lags", "alpha", "draws", "method", "kernel", "h",
+                 "b_h", "b_k", "m", "tau", "grid_points", "bandwidth_grid"),
+    "study": _STUDY_KEYS,
+    "naive-study": _STUDY_KEYS,
+    "tune": (*_SOURCE, "h", "b_h", "b_k", "m", "tau", "bandwidth_grid"),
+    "lag-select": (*_SOURCE, "h", "h0", "threshold"),
+}
+# keys only a config file sets
+_CONFIG_ONLY = {"kernel", "bandwidth_grid"}
+# results a command records: a replayed manifest may carry them, but the
+# command never reads them as inputs
+_RECORDED = {"tune": {"b_h", "b_k", "m", "tau"}, "lag-select": {"h"}}
+# a study's defaults are StudyConfig's
+_DEFAULTS = {
+    "estimate": dict(seed=0, threads=1, lags=(0, 1), alpha=0.05,
+                     draws=10_000, method="bootstrap", kernel="epanechnikov"),
+    "tune": dict(seed=0),
+    "lag-select": dict(seed=0, threshold=3.0),
+}
 
 
-def _load_config(path: str) -> dict:
+def _flag_keys(command: str) -> list[str]:
+    skip = _CONFIG_ONLY | _RECORDED.get(command, set())
+    return [k for k in _KEYS[command] if k not in skip] + ["threads"]
+
+
+def _flag(key: str) -> str:
+    return "--" + key.replace("_", "-")
+
+
+def _load_config(path: str, command: str) -> dict:
+    """The raw values of a key=value file, each with the line it came from."""
     try:
         text = Path(path).read_text()
     except OSError as exc:
         raise ConfigurationError(f"cannot read config {path}: {exc}") from None
+    taken = {*_KEYS[command], "threads"}
+    # "command" and "version" are manifest bookkeeping
+    skip = {"command", "version", *_RECORDED.get(command, ())}
     out: dict = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
+        where = f"{path}: line {lineno}"
         if "=" not in line:
-            raise ConfigurationError(
-                f"{path}: line {lineno}: expected key=value"
-            )
+            raise ConfigurationError(f"{where}: expected key=value")
         key, _, value = line.partition("=")
         key = key.strip()
-        value = value.strip()
-        if key not in _CONFIG_PARSERS:
-            raise ConfigurationError(f"{path}: line {lineno}: unknown key {key!r}")
-        if value == "auto" and key in _AUTO_KEYS:
-            out[key] = None
+        if key in skip:
             continue
-        try:
-            out[key] = _CONFIG_PARSERS[key](value)
-        except (ValueError, TypeError):
-            raise ConfigurationError(
-                f"{path}: line {lineno}: bad value for {key}: {value!r}"
-            ) from None
-    out.pop("command", None)
-    out.pop("version", None)
+        if key not in taken:
+            raise ConfigurationError(f"{where}: {command} does not take {key!r}")
+        out[key] = where, value.strip()
     return out
 
 
-def _resolve(args: argparse.Namespace, name: str, config: dict, default):
-    cli_value = getattr(args, name, None)
-    if cli_value is not None:
-        return cli_value
-    if name in config:
-        return config[name]
-    return default
+def _settings(args: argparse.Namespace) -> dict:
+    """The command's values: defaults, then the config file, then the flags,
+    every one converted by its key's parser."""
+    raw = _load_config(args.config, args.command) if args.config else {}
+    for key in _flag_keys(args.command):
+        value = getattr(args, key)
+        if value is not None:
+            raw[key] = _flag(key), str(value)
+    values = dict(_DEFAULTS.get(args.command, {}))
+    for key, (where, text) in raw.items():
+        try:
+            values[key] = (None if key in _AUTO and text == "auto"
+                           else _PARSERS[key](text))
+        except ValueError:
+            raise ConfigurationError(
+                f"{where}: bad value for {key}: {text!r}"
+            ) from None
+    return values
 
 
 # ---------------------------------------------------------------------------
 # series loading
 
-def _load_series(args, config) -> tuple[TimeSeries, dict]:
-    src_input = _resolve(args, "input", config, None)
-    model = _resolve(args, "model", config, None)
-    if (src_input is None) == (model is None):
+def _load_series(values: dict) -> TimeSeries:
+    if (values.get("input") is None) == (values.get("model") is None):
         raise ConfigurationError("give exactly one of --input or --model")
-    seed = int(_resolve(args, "seed", config, 0))
-    if src_input is not None:
-        y = ingest_csv(src_input)
-        meta = {"input": str(src_input), "n": y.n, "seed": seed}
-        return y, meta
-    n = _resolve(args, "n", config, None)
-    if n is None:
+    if values.get("input") is not None:
+        return ingest_csv(values["input"])
+    if values.get("n") is None:
         raise ConfigurationError("--model needs --n")
-    mean, err = model_preset(str(model))
-    y = generate(mean, err, int(n), seed)
-    return y, {"model": str(model), "n": int(n), "seed": seed}
+    mean, err = model_preset(values["model"])
+    return generate(mean, err, values["n"], values["seed"])
 
 
 # ---------------------------------------------------------------------------
@@ -230,19 +276,24 @@ def _write_lines(path: Path, lines: list[str]) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
-def _write_manifest(out: Path, command: str, entries: dict) -> None:
+def _format(v) -> str:
+    if v is None:
+        return "auto"
+    if isinstance(v, bool):
+        return "true" if v else "false"
+    if isinstance(v, (tuple, list)):
+        return ",".join(_format(x) for x in v)
+    return _fmt(v) if isinstance(v, float) else str(v)
+
+
+def _write_manifest(out: Path, command: str, values: dict) -> None:
+    """The command's keys in table order, as a config file that replays the
+    run; a key without a value is written as auto where auto means
+    something and is left out elsewhere."""
     lines = [f"command={command}", f"version={__version__}"]
-    for key in entries:
-        v = entries[key]
-        if v is None:
-            v = "auto"
-        elif isinstance(v, bool):
-            v = "true" if v else "false"
-        elif isinstance(v, float):
-            v = _fmt(v)
-        elif isinstance(v, (tuple, list)):
-            v = ",".join(_fmt(x) if isinstance(x, float) else str(x) for x in v)
-        lines.append(f"{key}={v}")
+    for key in _KEYS[command]:
+        if values.get(key) is not None or key in _AUTO:
+            lines.append(f"{key}={_format(values.get(key))}")
     _write_lines(out / "manifest.txt", lines)
 
 
@@ -256,40 +307,40 @@ def _write_band_csv(path: Path, band) -> None:
 # ---------------------------------------------------------------------------
 # subcommands
 
-def _truncation_lag(args, config, y: TimeSeries, lags, kernel) -> int:
-    h = _resolve(args, "h", config, None)
+def _truncation_lag(values, y: TimeSeries, lags, kernel,
+                    candidates) -> tuple[int, float | None]:
+    """h, and the lag-0 bandwidth: b_h, or with b_h auto the lag scan's own
+    cross-validated choice for the lag-h series when the scan scored it over
+    the same candidates (the default grid)."""
+    h, b_h = values.get("h"), values.get("b_h")
     if h is None:
-        h = max(select_lag(y, kernel=kernel).h, max(lags) + 1)
-    return int(h)
+        sel = select_lag(y, kernel=kernel)
+        h = max(sel.h, max(lags) + 1)
+        if b_h is None and candidates is None and h <= sel.h0:
+            b_h = sel.bandwidths[h - 1]
+    return h, b_h
 
 
 def _cmd_estimate(args) -> int:
-    config = _load_config(args.config) if args.config else {}
-    out = Path(args.out) if args.out else None
-    if out is None:
+    v = _settings(args)
+    if not args.out:
         raise ConfigurationError("estimate needs --out")
+    out = Path(args.out)
     kernel = epanechnikov()
-    y, meta = _load_series(args, config)
-    lags = tuple(sorted(set(_resolve(args, "lags", config, (0, 1)))))
+    lags = tuple(sorted(set(v["lags"])))
     if any(k < 0 for k in lags):
         raise ConfigurationError("lags must be nonnegative")
-    alpha = float(_resolve(args, "alpha", config, 0.05))
-    draws = int(_resolve(args, "draws", config, 10_000))
-    method = str(_resolve(args, "method", config, "bootstrap"))
-    threads = int(_resolve(args, "threads", config, 1))
-    grid_points = _resolve(args, "grid_points", config, None)
-    bw_grid = config.get("bandwidth_grid")
-
-    b_h = _resolve(args, "b_h", config, None)
-    b_k = _resolve(args, "b_k", config, None)
-    candidates = bandwidth_candidates(method, bw_grid, (b_h, *(b_k or [None])))
-    h = _truncation_lag(args, config, y, lags, kernel)
+    method, alpha, draws = v["method"], v["alpha"], v["draws"]
+    check_band_settings(method, alpha, draws)
+    y = _load_series(v)
+    candidates = bandwidth_candidates(method, v.get("bandwidth_grid"),
+                                      (v.get("b_h"), *(v.get("b_k") or [None])))
+    h, b_h = _truncation_lag(v, y, lags, kernel, candidates)
 
     fits = estimate_lags(
-        y, h, lags, kernel, b_h=b_h, b_k=b_k,
-        m=_resolve(args, "m", config, None),
-        tau=_resolve(args, "tau", config, None),
-        bandwidths=candidates, grid_points=grid_points,
+        y, h, lags, kernel, b_h=b_h, b_k=v.get("b_k"), m=v.get("m"),
+        tau=v.get("tau"), bandwidths=candidates,
+        grid_points=v.get("grid_points"),
     )
     # A critical value depends on its context (n, b, band grid), never on
     # the data: lags in one context reuse the first such lag's quantile,
@@ -304,8 +355,8 @@ def _cmd_estimate(args) -> int:
             if key not in quantiles:
                 quantiles[key] = lag, bootstrap_quantile(
                     est.working_n, est.bandwidth, kernel, draws=draws,
-                    alpha=alpha, seed=_child_seed(meta["seed"], 10, lag),
-                    grid=est.curve.grid, threads=threads,
+                    alpha=alpha, seed=_child_seed(v["seed"], 10, lag),
+                    grid=est.curve.grid, threads=v["threads"],
                 )
             first, quantile = quantiles[key]
             lo, hi = quantile.quantile_interval()
@@ -320,135 +371,71 @@ def _cmd_estimate(args) -> int:
               f"has_negative={est.has_negative} "
               f"clipped={fit.sigma.clipped}{shared}")
 
-    entries = dict(meta)
-    entries.update(
-        lags=",".join(str(k) for k in lags),
-        alpha=alpha,
-        draws=draws,
-        method=method,
-        kernel=kernel.name,
-        h=h,
+    _write_manifest(out, "estimate", dict(
+        v, n=y.n, lags=lags, h=h,
         b_h=fits[0].b if lags[0] == 0 else None,
         b_k=tuple(fit.b for fit in fits if fit.estimate.lag > 0) or None,
         m=tuple(fit.m for fit in fits),
         tau=tuple(fit.tau for fit in fits),
-        grid_points=grid_points,
-    )
-    if bw_grid is not None:
-        entries["bandwidth_grid"] = bw_grid
-    _write_manifest(out, "estimate", entries)
+    ))
     print(f"wrote {len(lags)} band file(s) and manifest.txt to {out}")
     return 0
 
 
-def _study_config(args, config, kind: str) -> StudyConfig:
-    model = _resolve(args, "model", config, "model1")
-    n = int(_resolve(args, "n", config, 400))
-    full = bool(_resolve(args, "full", config, False))
-    reps = _resolve(args, "reps", config, None)
-    draws = _resolve(args, "draws", config, None)
-    if reps is None:
-        reps = 500 if full else 200
-    if draws is None:
-        draws = 10_000 if full else 2000
-    lags = _resolve(args, "lags", config, (0, 1))
-    # tuning knobs default to the StudyConfig values, not to "auto"; the
-    # study takes the first value of a per-lag list from a config file
-    dflt = {f.name: f.default for f in dataclasses.fields(StudyConfig)}
-    h = _resolve(args, "h", config, dflt["h"])
-    knob = {}
-    for name in ("b_k", "m", "tau"):
-        v = _resolve(args, name, config, dflt[name])
-        knob[name] = (v[0] if v else None) if isinstance(v, tuple) else v
-    bw_grid = config.get("bandwidth_grid")
-    return StudyConfig(
-        model=str(model),
-        n=n,
-        replications=int(reps),
-        lags=tuple(lags),
-        alpha=float(_resolve(args, "alpha", config, 0.05)),
-        draws=int(draws),
-        seed=int(_resolve(args, "seed", config, 0)),
-        h=None if h in (None, "auto") else int(h),
-        b_h=_resolve(args, "b_h", config, dflt["b_h"]),
-        bandwidth_grid=np.asarray(bw_grid) if bw_grid is not None else None,
-        **knob,
-        min_volatility=bool(
-            _resolve(args, "min_volatility", config, dflt["min_volatility"])
-        ),
-        method=str(_resolve(args, "method", config, "bootstrap")),
-        threads=int(_resolve(args, "threads", config, 1)),
-    )
-
-
-def _manifest_from_study(cfg: StudyConfig, full: bool) -> dict:
-    return dict(
-        model=cfg.model,
-        n=cfg.n,
-        reps=cfg.replications,
-        lags=",".join(str(k) for k in cfg.lags),
-        alpha=cfg.alpha,
-        draws=cfg.draws,
-        seed=cfg.seed,
-        method=cfg.method,
-        kernel=cfg.kernel.name,
-        h=cfg.h,
-        b_h=cfg.b_h,
-        b_k=cfg.b_k,
-        m=cfg.m,
-        tau=cfg.tau,
-        min_volatility=cfg.min_volatility,
-        full=full,
-    )
-
-
-def _cmd_study(args, kind: str) -> int:
-    config = _load_config(args.config) if args.config else {}
-    cfg = _study_config(args, config, kind)
+def _cmd_study(args) -> int:
+    v = _settings(args)
+    full = v.pop("full", False)
+    if full:
+        v.setdefault("reps", 500)
+        v.setdefault("draws", 10_000)
+    for key in ("b_k", "m", "tau"):
+        if v.get(key) is not None:
+            if len(v[key]) != 1:
+                raise ConfigurationError(f"a study takes one {key}, got "
+                                         f"{_format(v[key])}")
+            v[key] = v[key][0]
+    fields = {("replications" if k == "reps" else k): x
+              for k, x in v.items() if k != "kernel"}
+    if "bandwidth_grid" in fields:
+        fields["bandwidth_grid"] = np.asarray(fields["bandwidth_grid"])
+    cfg = StudyConfig(**fields)
+    kind = "difference" if args.command == "study" else "naive"
     report = run_study(cfg) if kind == "difference" else run_naive_study(cfg)
     print(report.table())
     print(f"elapsed: {report.elapsed:.1f}s")
     if args.out:
         out = Path(args.out)
         _write_lines(out / "study_report.txt", report.to_kv())
-        full = bool(_resolve(args, "full", config, False))
-        command = "study" if kind == "difference" else "naive-study"
-        _write_manifest(out, command, _manifest_from_study(cfg, full))
+        _write_manifest(out, args.command, dict(
+            vars(cfg), reps=cfg.replications, kernel=cfg.kernel.name,
+            full=full, bandwidth_grid=v.get("bandwidth_grid"),
+        ))
         print(f"wrote study_report.txt and manifest.txt to {out}")
     return 0
 
 
 def _cmd_tune(args) -> int:
-    config = _load_config(args.config) if args.config else {}
+    v = _settings(args)
     kernel = epanechnikov()
-    y, meta = _load_series(args, config)
-    h = _truncation_lag(args, config, y, (0, 1), kernel)
-    lag0, lag1 = estimate_lags(y, h, (0, 1), kernel,
-                               bandwidths=config.get("bandwidth_grid"))
-    lines = [
-        f"h={h}",
-        f"b_h={_fmt(lag0.b)}",
-        f"b_k={_fmt(lag1.b)}",
-        f"m={lag1.m}",
-        f"tau={_fmt(lag1.tau)}",
-    ]
+    y = _load_series(v)
+    grid = v.get("bandwidth_grid")
+    h, b_h = _truncation_lag(v, y, (0, 1), kernel, grid)
+    lag0, lag1 = estimate_lags(y, h, (0, 1), kernel, b_h=b_h, bandwidths=grid)
+    tuned = dict(h=h, b_h=lag0.b, b_k=lag1.b, m=lag1.m, tau=lag1.tau)
+    lines = [f"{key}={_format(x)}" for key, x in tuned.items()]
     print("\n".join(lines))
     if args.out:
         out = Path(args.out)
         _write_lines(out / "tune.txt", lines)
-        _write_manifest(out, "tune", dict(meta, h=h, b_h=lag0.b, b_k=(lag1.b,),
-                                          m=(lag1.m,), tau=(lag1.tau,)))
+        _write_manifest(out, "tune", dict(v, n=y.n, **tuned))
     return 0
 
 
 def _cmd_lag_select(args) -> int:
-    config = _load_config(args.config) if args.config else {}
-    kernel = epanechnikov()
-    y, meta = _load_series(args, config)
-    h0 = _resolve(args, "h0", config, None)
-    threshold = float(_resolve(args, "threshold", config, 3.0))
-    sel = select_lag(y, h0=h0 if h0 is None else int(h0),
-                     threshold=threshold, kernel=kernel)
+    v = _settings(args)
+    y = _load_series(v)
+    sel = select_lag(y, h0=v.get("h0"), threshold=v["threshold"],
+                     kernel=epanechnikov())
     print(f"h={sel.h}")
     print(f"h0={sel.h0}")
     if args.out:
@@ -457,26 +444,25 @@ def _cmd_lag_select(args) -> int:
         for t, hs in zip(y.grid, sel.local):
             lines.append(f"{_fmt(t)},{int(hs)}")
         _write_lines(out / "lag_selection.csv", lines)
-        _write_manifest(out, "lag-select",
-                        dict(meta, h=sel.h, h0=sel.h0, threshold=threshold))
+        _write_manifest(out, "lag-select", dict(v, n=y.n, h=sel.h, h0=sel.h0))
     return 0
 
 
 # ---------------------------------------------------------------------------
 # argument parsing
 
-def _add_common(p: argparse.ArgumentParser, with_series: bool = True) -> None:
-    p.add_argument("--config", help="key=value config file; flags win")
-    p.add_argument("--out", help="output directory")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--threads", type=int)
-    if with_series:
-        p.add_argument("--input", help="CSV input (1 or 2 columns)")
-        p.add_argument("--model", help=f"preset: {', '.join(PRESET_NAMES)}")
-        p.add_argument("--n", type=int, help="length for --model")
+_COMMANDS = {
+    "estimate": (_cmd_estimate, "fit curves and write band CSVs"),
+    "study": (_cmd_study, "difference coverage study"),
+    "naive-study": (_cmd_study, "naive coverage study"),
+    "tune": (_cmd_tune, "report data-driven smoothing parameters"),
+    "lag-select": (_cmd_lag_select, "choose the truncation lag"),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """Every subcommand's flags from the option table; argparse only
+    collects raw strings, which `_settings` converts."""
     ap = argparse.ArgumentParser(
         prog="tvacov",
         description="Difference-based time-varying autocovariance estimation "
@@ -484,52 +470,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     ap.add_argument("--version", action="version", version=__version__)
     sub = ap.add_subparsers(dest="command", required=True)
-
-    pe = sub.add_parser("estimate", help="fit curves and write band CSVs")
-    _add_common(pe)
-    pe.add_argument("--lags", type=_parse_lags, help="e.g. 0,1")
-    pe.add_argument("--alpha", type=float)
-    pe.add_argument("--draws", type=int)
-    pe.add_argument("--method", choices=("bootstrap", "gumbel"))
-    pe.add_argument("--h", type=int)
-    pe.add_argument("--b-h", dest="b_h", type=float)
-    pe.add_argument("--b-k", dest="b_k", type=_parse_float_list)
-    pe.add_argument("--m", type=_parse_int_list)
-    pe.add_argument("--tau", type=_parse_float_list)
-    pe.add_argument("--grid-points", dest="grid_points", type=int)
-    pe.set_defaults(func=_cmd_estimate)
-
-    for name, kind in (("study", "difference"), ("naive-study", "naive")):
-        ps = sub.add_parser(name, help=f"{kind} coverage study")
-        _add_common(ps, with_series=False)
-        ps.add_argument("--model")
-        ps.add_argument("--n", type=int)
-        ps.add_argument("--reps", type=int)
-        ps.add_argument("--lags", type=_parse_lags)
-        ps.add_argument("--alpha", type=float)
-        ps.add_argument("--draws", type=int)
-        ps.add_argument("--method", choices=("bootstrap", "gumbel"))
-        ps.add_argument("--h", type=int)
-        ps.add_argument("--b-h", dest="b_h", type=float)
-        ps.add_argument("--b-k", dest="b_k", type=float)
-        ps.add_argument("--m", type=int)
-        ps.add_argument("--tau", type=float)
-        ps.add_argument("--min-volatility", dest="min_volatility",
-                        action=argparse.BooleanOptionalAction, default=None)
-        ps.add_argument("--full", action=argparse.BooleanOptionalAction,
-                        default=None, help="R=500, 10000 draws")
-        ps.set_defaults(func=lambda a, k=kind: _cmd_study(a, k))
-
-    pt = sub.add_parser("tune", help="report data-driven smoothing parameters")
-    _add_common(pt)
-    pt.add_argument("--h", type=int)
-    pt.set_defaults(func=_cmd_tune)
-
-    pl = sub.add_parser("lag-select", help="choose the truncation lag")
-    _add_common(pl)
-    pl.add_argument("--h0", type=int)
-    pl.add_argument("--threshold", type=float)
-    pl.set_defaults(func=_cmd_lag_select)
+    for command, (func, help_) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_)
+        p.add_argument("--config", help="key=value config file; flags win")
+        p.add_argument("--out", help="output directory")
+        for key in _flag_keys(command):
+            action = (argparse.BooleanOptionalAction
+                      if _PARSERS[key] is _parse_bool else None)
+            p.add_argument(_flag(key), dest=key, action=action,
+                           help=_HELP.get(key))
+        p.set_defaults(func=func)
     return ap
 
 

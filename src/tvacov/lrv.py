@@ -222,9 +222,10 @@ def lrv_curve(
     t_data = res.grid
     if grid is None:
         grid = t_data[(t_data >= tau) & (t_data <= 1.0 - tau)]
-        if grid.size == 0:
-            raise ConfigurationError("no design points inside [tau, 1-tau]")
     grid = np.asarray(grid, dtype=float)
+    if grid.size == 0:
+        raise ConfigurationError("no evaluation points (none given or none "
+                                 "inside [tau, 1-tau])")
 
     mats = _smoothed_blocks(res.eps, [m], tau, kernel, grid)[0]
     return LongRunCovCurve(grid=grid, matrices=mats, m=m, tau=tau)

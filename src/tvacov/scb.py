@@ -53,6 +53,7 @@ __all__ = [
     "proxy_draws",
     "bootstrap_quantile",
     "bandwidth_candidates",
+    "check_band_settings",
     "gumbel_critical",
     "build_band",
     "coverage_check",
@@ -210,10 +211,7 @@ def bootstrap_quantile(
         Worker threads over disjoint draw blocks. Draw d is a pure function
         of (seed, d), so the result is bit-identical for every thread count.
     """
-    if draws < _MIN_DRAWS:
-        raise ConfigurationError(f"draws must be >= {_MIN_DRAWS}, got {draws}")
-    if not 0.0 < alpha < 1.0:
-        raise ConfigurationError("alpha must be in (0, 1)")
+    check_band_settings("bootstrap", alpha, draws)
     if threads < 1:
         raise ConfigurationError("threads must be >= 1")
     if grid is None:
@@ -262,6 +260,17 @@ def bootstrap_quantile(
 
 # The limit formula needs log(m*) > 1 with m* = 1/b.
 GUMBEL_MAX_BANDWIDTH = 1.0 / math.e
+
+
+def check_band_settings(method: str, alpha: float, draws: int) -> None:
+    """Reject an unknown band method, a level outside (0, 1) or, under
+    bootstrap, fewer than 1000 draws; callers run it before any tuning."""
+    if method not in ("bootstrap", "gumbel"):
+        raise ConfigurationError(f"unknown method {method!r}")
+    if not 0.0 < alpha < 1.0:
+        raise ConfigurationError("alpha must be in (0, 1)")
+    if method == "bootstrap" and draws < _MIN_DRAWS:
+        raise ConfigurationError(f"draws must be >= {_MIN_DRAWS}, got {draws}")
 
 
 def bandwidth_candidates(

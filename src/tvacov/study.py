@@ -39,7 +39,7 @@ from .kernels import Kernel, epanechnikov
 from .locallinear import CurveOnGrid, fit_at_data
 from .lrv import ResidualPair
 from .procgen import ErrorModel, MeanSpec, TimeSeries, generate, model_preset, true_gamma
-from .scb import BootstrapQuantile, bandwidth_candidates, bootstrap_quantile, build_band, coverage_check
+from .scb import BootstrapQuantile, bandwidth_candidates, bootstrap_quantile, build_band, check_band_settings, coverage_check
 
 __all__ = ["StudyConfig", "StudyReport", "run_study", "run_naive_study"]
 
@@ -75,8 +75,9 @@ class StudyConfig:
     fixed; ``min_volatility=True``) or its plain rule (ceil(n^(1/3)), 0.2).
     Fixed bandwidths and tau lie in (0, 1/2) and 1 <= m <= (n - h) / 4,
     with h the fixed lag or else the largest the lag scan can return
-    (``h0``, default `default_start_lag`); gumbel needs b < 1/e. The fixed
-    h, or with h auto the smallest usable max(lags) + 1, must be below n - 2.
+    (``h0``, default `default_start_lag`); gumbel needs b < 1/e, bootstrap
+    at least 1000 draws (`check_band_settings`). The fixed h, or with h
+    auto the smallest usable max(lags) + 1, must be below n - 2.
     ``quantile_inflation`` scales the bootstrap critical value, for
     sensitivity checks only.
     """
@@ -113,8 +114,7 @@ class StudyConfig:
         if not lags or any(k < 0 for k in lags):
             raise ConfigurationError("lags must be nonnegative integers")
         self.lags = lags
-        if not 0.0 < self.alpha < 1.0:
-            raise ConfigurationError("alpha must be in (0, 1)")
+        check_band_settings(self.method, self.alpha, self.draws)
         if self.h is not None:
             if self.h < 1:
                 raise ConfigurationError("h must be >= 1")
@@ -138,8 +138,6 @@ class StudyConfig:
             _check_block_width([self.m], self.n - h)
         if self.threads < 1:
             raise ConfigurationError("threads must be >= 1")
-        if self.method not in ("bootstrap", "gumbel"):
-            raise ConfigurationError(f"unknown method {self.method!r}")
         bandwidth_candidates(self.method, self.bandwidth_grid,
                              (self.b_h, self.b_k))  # gumbel: b < 1/e
         if self.quantile_inflation <= 0:

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
+from tvacov import acov
 from tvacov.acov import (
     estimate_gamma0,
     estimate_gammak,
@@ -156,6 +157,16 @@ def test_estimate_lags_validation():
         estimate_lags(y, 4, (0, 1, 2), KERN, b_h=0.2, b_k=(0.2, 0.2, 0.2),
                       m=3, tau=0.2)
 
+
+@pytest.mark.parametrize("points", [0, -3])
+def test_estimate_lags_rejects_empty_band_grid_before_tuning(points,
+                                                             monkeypatch):
+    def no_tuning(*args, **kwargs):
+        raise AssertionError("tuning ran")
+
+    monkeypatch.setattr(acov, "gcv_bandwidth", no_tuning)
+    with pytest.raises(ConfigurationError, match="grid_points"):
+        estimate_lags(make_series(n=200), 3, (0, 1), KERN, grid_points=points)
 
 def test_naive_matches_manual_two_stage_fit():
     y = make_series(n=400, seed=5)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from tvacov import acov, cli
+from tvacov import study as study_module
 from tvacov.cli import ingest_csv, main
 from tvacov.errors import ParseError
 
@@ -395,3 +396,148 @@ def test_argparse_surface():
     with pytest.raises(SystemExit) as e:
         main([])
     assert e.value.code == 2
+
+
+# ---------------------------------------------------------------------------
+# the option table
+
+def no_tuning(*args, **kwargs):
+    raise AssertionError("tuning ran")
+
+
+REPLAYED = {
+    "estimate": ESTIMATE_ARGS,
+    "study": ["study", "--model", "model1", "--n", "150", "--reps", "3",
+              "--draws", "1000", "--seed", "4"],
+    "naive-study": ["naive-study", "--model", "model1", "--n", "150",
+                    "--reps", "2", "--draws", "1000"],
+    "tune": ["tune", "--model", "model1", "--n", "200", "--seed", "2"],
+    "lag-select": ["lag-select", "--model", "model1", "--n", "200"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(REPLAYED))
+def test_every_command_replays_its_manifest(command, tmp_path):
+    d1, d2 = tmp_path / "run", tmp_path / "replay"
+    assert main(REPLAYED[command] + ["--out", str(d1)]) == 0
+    assert main([command, "--config", str(d1 / "manifest.txt"),
+                 "--out", str(d2)]) == 0
+    names = sorted(p.name for p in d1.iterdir())
+    assert names == sorted(p.name for p in d2.iterdir())
+    for name in names:
+        assert (d1 / name).read_bytes() == (d2 / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("command, line", [
+    ("estimate", "reps=3"),
+    ("estimate", "full=true"),
+    ("estimate", "min_volatility=true"),
+    ("estimate", "h0=4"),
+    ("study", "h0=4"),
+    ("study", "threshold=2.0"),
+    ("study", "grid_points=20"),
+    ("study", "input=series.csv"),
+    ("lag-select", "bandwidth_grid=0.2,0.3"),
+])
+def test_config_key_the_command_does_not_take(command, line, tmp_path,
+                                              capsys):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(line + "\n")
+    argv = REPLAYED[command] + ["--config", str(cfg),
+                                "--out", str(tmp_path / "o")]
+    assert main(argv) == 2
+    key = line.split("=")[0]
+    assert f"does not take {key!r}" in capsys.readouterr().err
+
+
+def test_kernel_other_than_epanechnikov_is_rejected(tmp_path, capsys):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("kernel=gaussian\n")
+    assert main(ESTIMATE_ARGS + ["--config", str(cfg),
+                                 "--out", str(tmp_path / "o")]) == 2
+    assert "bad value for kernel: 'gaussian'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--lags", "abc"), ("--m", "x"), ("--b-k", "0.2,zz"), ("--h", "3.5"),
+    ("--seed", "-1"), ("--threads", "0"),
+])
+def test_bad_flag_values_exit_2_without_traceback(flag, value, tmp_path,
+                                                  capsys):
+    argv = ["estimate", "--model", "model1", "--n", "200", flag, value,
+            "--out", str(tmp_path / "o")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"bad value for {flag[2:].replace('-', '_')}: {value!r}" in err
+    assert "Traceback" not in err
+
+
+def test_bad_method_in_config_fails_before_tuning(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "select_lag", no_tuning)
+    monkeypatch.setattr(acov, "gcv_bandwidth", no_tuning)
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("method=tube\n")
+    assert main(["estimate", "--model", "model1", "--n", "400", "--config",
+                 str(cfg), "--out", str(tmp_path / "o")]) == 2
+
+
+def test_study_with_bandwidth_grid_replays_its_report(tmp_path):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("bandwidth_grid=0.3,0.35,0.4\nb_h=auto\nb_k=auto\n")
+    d1, d2 = tmp_path / "run", tmp_path / "replay"
+    assert main(["study", "--model", "model1", "--n", "150", "--reps", "3",
+                 "--draws", "1000", "--config", str(cfg),
+                 "--out", str(d1)]) == 0
+    manifest = (d1 / "manifest.txt").read_text()
+    assert "bandwidth_grid=0.3,0.35,0.4\n" in manifest
+    assert main(["study", "--config", str(d1 / "manifest.txt"),
+                 "--out", str(d2)]) == 0
+    for name in ("study_report.txt", "manifest.txt"):
+        assert (d1 / name).read_bytes() == (d2 / name).read_bytes()
+
+
+@pytest.mark.parametrize("line", ["m=3,4", "b_k=0.2,0.25", "tau=0.2,0.3"])
+def test_study_takes_one_value_per_tuning_list(line, tmp_path):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(line + "\n")
+    assert main(REPLAYED["study"] + ["--config", str(cfg)]) == 2
+
+
+@pytest.mark.parametrize("points", ["0", "-3"])
+def test_grid_points_below_one_fail_before_tuning(points, tmp_path,
+                                                  monkeypatch):
+    monkeypatch.setattr(cli, "select_lag", no_tuning)
+    monkeypatch.setattr(acov, "gcv_bandwidth", no_tuning)
+    argv = ["estimate", "--model", "model1", "--n", "200", "--h", "3",
+            "--grid-points", points, "--out", str(tmp_path / "o")]
+    assert main(argv) == 2
+
+
+@pytest.mark.parametrize("bad", [["--draws", "5"], ["--alpha", "1.5"],
+                                 ["--alpha", "0"]])
+def test_draws_and_alpha_fail_before_tuning(bad, tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "select_lag", no_tuning)
+    monkeypatch.setattr(acov, "gcv_bandwidth", no_tuning)
+    base = ["estimate", "--model", "model1", "--n", "400",
+            "--out", str(tmp_path / "o")]
+    assert main(base + bad) == 2
+    # gumbel draws no bootstrap, so any draw count is accepted
+    study = ["study", "--model", "model1", "--n", "150", "--reps", "3"]
+    if bad[0] == "--draws":
+        assert main(study + ["--method", "gumbel"] + bad) == 0
+    monkeypatch.setattr(study_module, "_run", no_tuning)
+    assert main(study + bad) == 2
+
+
+def test_lag_zero_reuses_the_lag_scan_bandwidth(tmp_path, monkeypatch):
+    calls = counting(monkeypatch, acov, "gcv_bandwidth")
+    d = tmp_path / "auto"
+    assert main(["tune", "--model", "model1", "--n", "300", "--seed", "2",
+                 "--out", str(d)]) == 0
+    assert len(calls) == 1  # lag 1 only; lag 0 is the scan's lag-h choice
+    calls.clear()
+    assert main(["tune", "--config", str(d / "manifest.txt"),
+                 "--out", str(tmp_path / "replay")]) == 0
+    assert len(calls) == 2  # fixed h: no scan, so lag 0 cross-validates
+    assert (d / "tune.txt").read_bytes() == \
+        (tmp_path / "replay" / "tune.txt").read_bytes()

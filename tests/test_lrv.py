@@ -110,6 +110,13 @@ def test_parameter_validation():
         ResidualPair(eps=np.ones((5, 2)), lags=(1, 3))
 
 
+def test_explicit_empty_grid_is_a_configuration_error():
+    rng = np.random.default_rng(4)
+    pair = pair_from(rng.normal(size=200), rng.normal(size=200))
+    with pytest.raises(ConfigurationError, match="no evaluation points"):
+        lrv_curve(pair, 3, 0.2, KERN, grid=np.array([]))
+
+
 # ---------------------------------------------------------------------------
 # sigma functionals
 
