@@ -73,6 +73,11 @@ class AcovEstimate:
         if self.working_n < 2:
             raise ConfigurationError("working length must be >= 2")
 
+    @property
+    def proxy_scale(self) -> float:
+        """Band proxy coefficient: 1/2 for half differences, else 1."""
+        return 1.0 if self.diff_lag is None else 0.5
+
 
 @dataclass(frozen=True)
 class LagEstimate:

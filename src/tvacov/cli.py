@@ -9,8 +9,9 @@ and lag-select's h). Options can also come from a flat key=value config
 file (``--config``); explicit flags win over config values, config values
 win over defaults. ``auto`` (choose from the data) is a value of h, h0,
 b_h, b_k, m, tau and grid_points; a study takes one value each of b_k, m
-and tau. A key the command does not take, or a value its parser rejects,
-exits 2 before any series is loaded. Every run that writes output also
+and tau. A key the command does not take, a flag not spelled out in full
+or a value its parser rejects exits 2 before any series is loaded, as does
+an n other than the row count of --input. Every run that writes output also
 writes ``manifest.txt`` holding the fully resolved parameters; the manifest
 is itself a valid config file, so
 
@@ -170,17 +171,18 @@ _HELP = {
     "full": "R=500, 10000 draws",
 }
 
-# Per command, the keys it takes, in manifest order. Every command also
-# takes threads, which changes no output and so is never recorded.
+# Per command, the keys it takes, in manifest order; threads changes no
+# output, so no manifest records it.
 _SOURCE = ("input", "model", "n", "seed")
 _STUDY_KEYS = ("model", "n", "reps", "lags", "alpha", "draws", "seed",
                "method", "kernel", "h", "b_h", "b_k", "m", "tau",
-               "min_volatility", "full", "bandwidth_grid")
+               "min_volatility", "full", "bandwidth_grid", "threads")
 _KEYS = {
     "estimate": (*_SOURCE, "lags", "alpha", "draws", "method", "kernel", "h",
-                 "b_h", "b_k", "m", "tau", "grid_points", "bandwidth_grid"),
+                 "b_h", "b_k", "m", "tau", "grid_points", "bandwidth_grid",
+                 "threads"),
     "study": _STUDY_KEYS,
-    "naive-study": _STUDY_KEYS,
+    "naive-study": tuple(k for k in _STUDY_KEYS if k != "h"),
     "tune": (*_SOURCE, "h", "b_h", "b_k", "m", "tau", "bandwidth_grid"),
     "lag-select": (*_SOURCE, "h", "h0", "threshold"),
 }
@@ -200,7 +202,7 @@ _DEFAULTS = {
 
 def _flag_keys(command: str) -> list[str]:
     skip = _CONFIG_ONLY | _RECORDED.get(command, set())
-    return [k for k in _KEYS[command] if k not in skip] + ["threads"]
+    return [k for k in _KEYS[command] if k not in skip]
 
 
 def _flag(key: str) -> str:
@@ -213,7 +215,7 @@ def _load_config(path: str, command: str) -> dict:
         text = Path(path).read_text()
     except OSError as exc:
         raise ConfigurationError(f"cannot read config {path}: {exc}") from None
-    taken = {*_KEYS[command], "threads"}
+    taken = set(_KEYS[command])
     # "command" and "version" are manifest bookkeeping
     skip = {"command", "version", *_RECORDED.get(command, ())}
     out: dict = {}
@@ -261,7 +263,14 @@ def _load_series(values: dict) -> TimeSeries:
     if (values.get("input") is None) == (values.get("model") is None):
         raise ConfigurationError("give exactly one of --input or --model")
     if values.get("input") is not None:
-        return ingest_csv(values["input"])
+        y = ingest_csv(values["input"])
+        # manifests record n as the row count, so an equal n replays
+        if values.get("n") not in (None, y.n):
+            raise ConfigurationError(
+                f"--n {values['n']} differs from the {y.n} rows of "
+                f"{values['input']}"
+            )
+        return y
     if values.get("n") is None:
         raise ConfigurationError("--model needs --n")
     mean, err = model_preset(values["model"])
@@ -292,7 +301,7 @@ def _write_manifest(out: Path, command: str, values: dict) -> None:
     something and is left out elsewhere."""
     lines = [f"command={command}", f"version={__version__}"]
     for key in _KEYS[command]:
-        if values.get(key) is not None or key in _AUTO:
+        if key != "threads" and (values.get(key) is not None or key in _AUTO):
             lines.append(f"{key}={_format(values.get(key))}")
     _write_lines(out / "manifest.txt", lines)
 
@@ -330,6 +339,12 @@ def _cmd_estimate(args) -> int:
     lags = tuple(sorted(set(v["lags"])))
     if any(k < 0 for k in lags):
         raise ConfigurationError("lags must be nonnegative")
+    if v.get("b_h") is not None and lags[0] != 0:
+        raise ConfigurationError("b_h is the lag-0 bandwidth, but lags has "
+                                 "no 0")
+    if v.get("b_k") is not None and lags[-1] == 0:
+        raise ConfigurationError("b_k is the bandwidth of lags k > 0, but "
+                                 "lags has none")
     method, alpha, draws = v["method"], v["alpha"], v["draws"]
     check_band_settings(method, alpha, draws)
     y = _load_series(v)
@@ -356,7 +371,8 @@ def _cmd_estimate(args) -> int:
                 quantiles[key] = lag, bootstrap_quantile(
                     est.working_n, est.bandwidth, kernel, draws=draws,
                     alpha=alpha, seed=_child_seed(v["seed"], 10, lag),
-                    grid=est.curve.grid, threads=v["threads"],
+                    grid=est.curve.grid, weight_scale=est.proxy_scale,
+                    threads=v["threads"],
                 )
             first, quantile = quantiles[key]
             lo, hi = quantile.quantile_interval()
@@ -465,13 +481,14 @@ def build_parser() -> argparse.ArgumentParser:
     collects raw strings, which `_settings` converts."""
     ap = argparse.ArgumentParser(
         prog="tvacov",
+        allow_abbrev=False,
         description="Difference-based time-varying autocovariance estimation "
                     "with simultaneous confidence bands.",
     )
     ap.add_argument("--version", action="version", version=__version__)
     sub = ap.add_subparsers(dest="command", required=True)
     for command, (func, help_) in _COMMANDS.items():
-        p = sub.add_parser(command, help=help_)
+        p = sub.add_parser(command, help=help_, allow_abbrev=False)
         p.add_argument("--config", help="key=value config file; flags win")
         p.add_argument("--out", help="output directory")
         for key in _flag_keys(command):

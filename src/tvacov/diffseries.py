@@ -125,7 +125,7 @@ def select_lag(
         Scan start; default `default_start_lag`. Must satisfy
         2 <= h0 <= ceil(n^(1/4) log n) and h0 <= n - 3.
     threshold : float
-        Firing multiple; math.inf disables firing entirely (h = 1).
+        Firing multiple, > 0 (NaN is not); math.inf disables firing (h = 1).
     kernel : Kernel, optional
     b_provider : callable, optional
         ``b_provider(k, rho)`` returns the bandwidth used to fit the lag-k
@@ -142,7 +142,7 @@ def select_lag(
         )
     if h0 > n - 3:
         raise ConfigurationError(f"h0 = {h0} leaves too few differences")
-    if threshold <= 0:
+    if not threshold > 0:  # NaN included
         raise ConfigurationError("threshold must be positive")
     if kernel is None:
         kernel = epanechnikov()

@@ -6,15 +6,15 @@ pointwise long-run scale sigma_hat(t):
 * bootstrap: simulate the Gaussian proxy of the estimation error,
   sum_i w_i(t) u_i * scale with u_i iid N(0,1), take the empirical
   (1 - alpha) quantile of its sup over the band domain [b, 1-b]. The
-  default scale 1/2 matches estimates of the form (fitted difference
-  level)/2.
+  scale is the estimate's `AcovEstimate.proxy_scale`: 1/2 for estimates of
+  the form (fitted difference level)/2.
 * gumbel: the limiting extreme-value formula; with m* = 1/b,
 
       crit = B(m*) - log(log(1-alpha)^(-1/2)) / sqrt(2 log m*),
       B(m*) = sqrt(2 log m*)
               + log((1/pi) sqrt(int K'^2 / (4 phi0))) / sqrt(2 log m*),
 
-  and half-width sigma_hat(t) sqrt(phi0 / (4 n b)) crit.
+  and half-width sigma_hat(t) sqrt(phi0 / (n b)) crit times that scale.
 
 Each bootstrap draw has its own counter-derived substream, so any partition
 of the draws over workers reproduces the single-threaded quantile exactly.
@@ -358,7 +358,6 @@ def build_band(
     alpha: float = 0.05,
     draws: int = 10_000,
     seed: int = 0,
-    weight_scale: float = 0.5,
     quantile: BootstrapQuantile | None = None,
     threads: int = 1,
 ) -> BandResult:
@@ -366,7 +365,7 @@ def build_band(
 
     ``sigma`` must be evaluated on exactly the estimate's grid and be
     strictly positive there. A precomputed ``quantile`` may be supplied; its
-    context (n, b, level, scale, grid) must match.
+    context (n, b, level, the estimate's `proxy_scale`, grid) must match.
     """
     curve = estimate.curve
     if not np.array_equal(curve.grid, sigma.grid):
@@ -387,7 +386,7 @@ def build_band(
                 alpha=alpha,
                 seed=seed,
                 grid=curve.grid,
-                weight_scale=weight_scale,
+                weight_scale=estimate.proxy_scale,
                 threads=threads,
             )
         else:
@@ -395,7 +394,7 @@ def build_band(
                 quantile.n == n
                 and quantile.bandwidth == b
                 and quantile.alpha == alpha
-                and quantile.weight_scale == weight_scale
+                and quantile.weight_scale == estimate.proxy_scale
                 and np.array_equal(quantile.grid, curve.grid)
             )
             if not ctx:
@@ -405,7 +404,7 @@ def build_band(
         factor = quantile.quantile
     elif method == "gumbel":
         crit = gumbel_critical(b, kernel, alpha, n)
-        factor = weight_scale * math.sqrt(kernel.phi0 / (n * b)) * crit
+        factor = estimate.proxy_scale * math.sqrt(kernel.phi0 / (n * b)) * crit
     else:
         raise ConfigurationError(f"unknown band method {method!r}")
 

@@ -26,6 +26,7 @@ from typing import Any
 import numpy as np
 
 from .acov import (
+    AcovEstimate,
     _band_scale,
     _check_block_width,
     _interior,
@@ -72,14 +73,16 @@ class StudyConfig:
     ``None`` switches that bandwidth to per-replication cross-validation
     over ``bandwidth_grid``. ``m``/``tau`` fix the long-run covariance
     blocks; one left None comes from minimum volatility (the other stays
-    fixed; ``min_volatility=True``) or its plain rule (ceil(n^(1/3)), 0.2).
+    fixed; ``min_volatility=True`` needs one None) or its plain rule
+    (ceil(n^(1/3)), 0.2).
     Fixed bandwidths and tau lie in (0, 1/2) and 1 <= m <= (n - h) / 4,
     with h the fixed lag or else the largest the lag scan can return
     (``h0``, default `default_start_lag`); gumbel needs b < 1/e, bootstrap
     at least 1000 draws (`check_band_settings`). The fixed h, or with h
     auto the smallest usable max(lags) + 1, must be below n - 2.
     ``quantile_inflation`` scales the bootstrap critical value, for
-    sensitivity checks only.
+    sensitivity checks only; gumbel takes neither it nor
+    ``share_bootstrap=False``. `run_naive_study` has no difference lag.
     """
 
     model: str | tuple[MeanSpec, ErrorModel] = "model1"
@@ -126,6 +129,10 @@ class StudyConfig:
                 raise ConfigurationError(f"{name} must be in (0, 1/2), got {v!r}")
         if self.m is not None and self.m < 1:
             raise ConfigurationError(f"m must be >= 1, got {self.m!r}")
+        if self.min_volatility and self.m is not None and self.tau is not None:
+            raise ConfigurationError(
+                "min_volatility selects m or tau, but both are fixed"
+            )
         # the smallest h a replication can use must leave enough differences
         h_low = self.h if self.h is not None else max(lags) + 1
         if h_low >= self.n - 2:
@@ -142,6 +149,12 @@ class StudyConfig:
                              (self.b_h, self.b_k))  # gumbel: b < 1/e
         if self.quantile_inflation <= 0:
             raise ConfigurationError("quantile_inflation must be positive")
+        if self.method == "gumbel" and (self.quantile_inflation != 1.0
+                                        or not self.share_bootstrap):
+            raise ConfigurationError(
+                "quantile_inflation and share_bootstrap act on the bootstrap "
+                "only; method gumbel takes neither"
+            )
         if not 0.0 <= self.max_failure_fraction < 1.0:
             raise ConfigurationError("max_failure_fraction must be in [0, 1)")
 
@@ -215,7 +228,6 @@ def _config_echo(cfg: StudyConfig, kind: str) -> dict[str, Any]:
         "alpha": cfg.alpha,
         "draws": cfg.draws,
         "seed": cfg.seed,
-        "h": "auto" if cfg.h is None else cfg.h,
         "method": cfg.method,
         "min_volatility": cfg.min_volatility,
         "share_bootstrap": cfg.share_bootstrap,
@@ -227,6 +239,8 @@ def _config_echo(cfg: StudyConfig, kind: str) -> dict[str, Any]:
         ",".join(repr(float(b)) for b in np.asarray(grid)),
         "kind": kind,
     }
+    if kind != "naive":  # the residual-based estimator has no difference lag
+        echo["h"] = "auto" if cfg.h is None else cfg.h
     for name in ("b_h", "b_k", "m", "tau"):
         v = getattr(cfg, name)
         echo[name] = "auto" if v is None else v
@@ -245,16 +259,16 @@ class _QuantileStore:
         self._lock = Lock()
         self._store: dict[tuple, BootstrapQuantile] = {}
 
-    def get(self, rep: int, n: int, b: float, grid: np.ndarray,
-            weight_scale: float) -> BootstrapQuantile:
+    def get(self, rep: int, est: AcovEstimate) -> BootstrapQuantile:
         cfg = self.cfg
+        n, b, scale = est.working_n, est.bandwidth, est.proxy_scale
         bkey = int(round(b * 1e9))
-        skey = int(round(weight_scale * 1e6))
+        skey = int(round(scale * 1e6))
         if not cfg.share_bootstrap:
             seed = _child_seed(cfg.seed, _STREAM_BOOT_PRIVATE, rep, n, bkey, skey)
             return bootstrap_quantile(
                 n, b, cfg.kernel, draws=cfg.draws, alpha=cfg.alpha,
-                seed=seed, grid=grid, weight_scale=weight_scale,
+                seed=seed, grid=est.curve.grid, weight_scale=scale,
             )
         key = (n, bkey, skey, cfg.draws)
         with self._lock:
@@ -264,7 +278,7 @@ class _QuantileStore:
         seed = _child_seed(cfg.seed, _STREAM_BOOT, n, bkey, skey, cfg.draws)
         bq = bootstrap_quantile(
             n, b, cfg.kernel, draws=cfg.draws, alpha=cfg.alpha,
-            seed=seed, grid=grid, weight_scale=weight_scale,
+            seed=seed, grid=est.curve.grid, weight_scale=scale,
         )
         with self._lock:
             return self._store.setdefault(key, bq)
@@ -281,22 +295,18 @@ def _blocks(cfg: StudyConfig, n_work: int) -> tuple[int | None, float | None]:
 
 
 def _score(cfg: StudyConfig, store: _QuantileStore, rep: int,
-           model: ErrorModel, h: int, weight_scale: float,
-           fitted: list) -> dict[str, Any]:
+           model: ErrorModel, h: int, fitted: list) -> dict[str, Any]:
     """Band each (estimate, scale, m, tau); record coverage, width, tuning."""
     out: dict[str, Any] = {"h": h, "covered": {}, "width": {}, "b": {},
                            "m": {}, "tau": {}}
     for est, sigma, m, tau in fitted:
         quantile = None
         if cfg.method == "bootstrap":
-            bq = store.get(rep, est.working_n, est.bandwidth, est.curve.grid,
-                           weight_scale)
+            bq = store.get(rep, est)
             quantile = dataclasses.replace(
                 bq, quantile=bq.quantile * cfg.quantile_inflation)
-        band = build_band(
-            est, sigma, cfg.kernel, method=cfg.method, alpha=cfg.alpha,
-            weight_scale=weight_scale, quantile=quantile,
-        )
+        band = build_band(est, sigma, cfg.kernel, method=cfg.method,
+                          alpha=cfg.alpha, quantile=quantile)
         lag = est.lag
         truth = CurveOnGrid(
             grid=band.grid,
@@ -342,9 +352,7 @@ def _replicate_naive(cfg: StudyConfig, y: TimeSeries,
 
 def _run(cfg: StudyConfig, kind: str) -> StudyReport:
     mean, model = cfg.resolve_model()
-    # the naive estimate is the smoothed product itself, no half-difference
-    replicate, weight_scale = ((_replicate_naive, 1.0) if kind == "naive"
-                               else (_replicate_diff, 0.5))
+    replicate = _replicate_naive if kind == "naive" else _replicate_diff
     store = _QuantileStore(cfg)
     bandwidths = bandwidth_candidates(cfg.method, cfg.bandwidth_grid,
                                       (cfg.b_h, cfg.b_k))
@@ -355,7 +363,7 @@ def _run(cfg: StudyConfig, kind: str) -> StudyReport:
         try:
             y = generate(mean, model, cfg.n, seed)
             h, fitted = replicate(cfg, y, bandwidths)
-            return _score(cfg, store, rep, model, h, weight_scale, fitted)
+            return _score(cfg, store, rep, model, h, fitted)
         except TvacovError as exc:
             return (rep, f"{type(exc).__name__}: {exc}")
 
@@ -416,7 +424,7 @@ def run_naive_study(cfg: StudyConfig) -> StudyReport:
     """Coverage study of the residual-based (detrend-then-smooth) bands.
 
     The same protocol as `run_study` with the estimator swapped, bands built
-    with the weight_scale=1 variant of the same bootstrap. Under abrupt
+    with the proxy scale 1 of the same bootstrap. Under abrupt
     trend shifts its coverage collapses; that contrast is the point.
     """
     return _run(cfg, "naive")

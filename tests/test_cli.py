@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from tvacov import acov, cli
+from tvacov import acov, cli, tuning
 from tvacov import study as study_module
 from tvacov.cli import ingest_csv, main
 from tvacov.errors import ParseError
@@ -541,3 +541,92 @@ def test_lag_zero_reuses_the_lag_scan_bandwidth(tmp_path, monkeypatch):
     assert len(calls) == 2  # fixed h: no scan, so lag 0 cross-validates
     assert (d / "tune.txt").read_bytes() == \
         (tmp_path / "replay" / "tune.txt").read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# options no run reads are rejected, not dropped
+
+def exit_code(argv):
+    """main's return code, or argparse's exit code for a flag it rejects."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+@pytest.fixture
+def tripwires(monkeypatch):
+    monkeypatch.setattr(cli, "select_lag", no_tuning)
+    monkeypatch.setattr(acov, "gcv_bandwidth", no_tuning)
+    monkeypatch.setattr(study_module, "_run", no_tuning)
+
+
+@pytest.mark.parametrize("command, key", [
+    ("tune", "threads"), ("lag-select", "threads"), ("naive-study", "h"),
+])
+def test_flag_and_config_key_a_command_does_not_read(command, key, tmp_path,
+                                                     tripwires):
+    argv = REPLAYED[command] + ["--out", str(tmp_path / "o")]
+    assert exit_code(argv + [cli._flag(key), "2"]) == 2
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(f"{key}=2\n")
+    assert main(argv + ["--config", str(cfg)]) == 2
+
+
+def test_naive_study_records_no_difference_lag(tmp_path):
+    d = tmp_path / "naive"
+    assert main(REPLAYED["naive-study"] + ["--out", str(d)]) == 0
+    manifest = (d / "manifest.txt").read_text().splitlines()
+    assert not any(line.startswith("h=") for line in manifest)
+    report = (d / "study_report.txt").read_text().splitlines()
+    assert not any(line.startswith("config.h=") for line in report)
+
+
+@pytest.mark.parametrize("argv", [
+    ["estimate", "--model", "model1", "--n", "200", "--thr", "2"],
+    ["lag-select", "--model", "model1", "--n", "200", "--thresh", "2"],
+    # without prefix matching --h cannot expand to --help either
+    ["naive-study", "--model", "model1", "--n", "150", "--h", "5"],
+])
+def test_abbreviated_flags_exit_2(argv, tmp_path, tripwires):
+    assert exit_code(argv + ["--out", str(tmp_path / "o")]) == 2
+
+
+@pytest.mark.parametrize("command", ["estimate", "tune", "lag-select"])
+def test_n_beside_input_must_be_its_row_count(command, tmp_path, capsys,
+                                              tripwires):
+    p = write_csv(tmp_path / "y.csv", np.random.default_rng(2).normal(size=120))
+    argv = [command, "--input", str(p), "--out", str(tmp_path / "o")]
+    assert main(argv + ["--n", "200"]) == 2
+    assert "differs from the 120 rows" in capsys.readouterr().err
+    # manifests record n as the row count, so an equal n goes on to the scan
+    with pytest.raises(AssertionError, match="tuning ran"):
+        main(argv + ["--n", "120"])
+
+
+def test_lag_select_rejects_nan_threshold(tmp_path, monkeypatch):
+    monkeypatch.setattr(tuning, "gcv_bandwidth", no_tuning)
+    argv = ["lag-select", "--model", "model1", "--n", "200",
+            "--out", str(tmp_path / "o")]
+    assert main(argv + ["--threshold", "nan"]) == 2
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("lags, flag", [("1", "--b-h"), ("1,2", "--b-h"),
+                                        ("0", "--b-k")])
+def test_estimate_rejects_bandwidth_of_a_lag_not_asked_for(lags, flag,
+                                                           tmp_path,
+                                                           tripwires):
+    argv = ["estimate", "--model", "model1", "--n", "200", "--lags", lags,
+            flag, "0.3", "--out", str(tmp_path / "o")]
+    assert main(argv) == 2
+    assert main(argv + ["--h", "3"]) == 2
+
+
+def test_study_min_volatility_with_fixed_blocks_exits_2(tripwires):
+    study = ["study", "--model", "model1", "--n", "150", "--reps", "3",
+             "--draws", "1000", "--min-volatility"]
+    assert main(study) == 2
+    assert main(study + ["--m", "4", "--tau", "0.3"]) == 2
+    with pytest.raises(AssertionError, match="tuning ran"):
+        main(study + ["--m", "auto"])

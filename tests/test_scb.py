@@ -1,12 +1,13 @@
 """Simultaneous band construction: proxy bootstrap and the limit formula."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from tvacov.acov import estimate_gamma0
+from tvacov.acov import estimate_gamma0, naive_estimate
 from tvacov.errors import (
     ConfigurationError,
     DegenerateVarianceError,
@@ -281,3 +282,29 @@ def test_coverage_check_boundary_cases():
     with pytest.raises(GridAlignmentError):
         coverage_check(band, CurveOnGrid(grid=band.grid[:-1],
                                          values=band.center[:-1]))
+
+
+def test_build_band_reads_the_proxy_scale_of_a_naive_estimate():
+    # the residual-based estimate is the smoothed product itself, so its
+    # proxy has scale 1, not the 1/2 of a half-difference estimate
+    mean, model = model_preset("model1")
+    y = generate(mean, model, 300, 8)
+    est = naive_estimate(y, 0, KERN, b_mean=0.2, b_var=0.25)
+    assert est.proxy_scale == 1.0
+    sigma = unit_sigma(est)
+    band = build_band(est, sigma, KERN, draws=1500, seed=3)
+    q = bootstrap_quantile(est.working_n, est.bandwidth, KERN, draws=1500,
+                           seed=3, grid=est.curve.grid, weight_scale=1.0)
+    assert band.sigma_factor == q.quantile
+    # a quantile drawn at scale 1/2 belongs to another context
+    half = bootstrap_quantile(est.working_n, est.bandwidth, KERN, draws=1500,
+                              seed=3, grid=est.curve.grid)
+    with pytest.raises(ConfigurationError):
+        build_band(est, sigma, KERN, quantile=half)
+
+    # the same context as a half-difference estimate: half the gumbel factor
+    diff = replace(est, diff_lag=3)
+    assert diff.proxy_scale == 0.5
+    naive_g = build_band(est, sigma, KERN, method="gumbel")
+    diff_g = build_band(diff, sigma, KERN, method="gumbel")
+    assert naive_g.sigma_factor == 2.0 * diff_g.sigma_factor

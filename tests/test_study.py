@@ -221,3 +221,25 @@ def test_config_block_width_bound():
 def test_lags_deduplicated_and_sorted():
     cfg = small_config(lags=(1, 0, 1))
     assert cfg.lags == (0, 1)
+
+
+def test_config_rejects_settings_that_change_nothing():
+    # minimum volatility picks only an m or tau left None
+    with pytest.raises(ConfigurationError, match="min_volatility"):
+        StudyConfig(min_volatility=True)
+    StudyConfig(min_volatility=True, m=None)
+    StudyConfig(min_volatility=True, tau=None)
+    # the limit formula draws no bootstrap to inflate or share
+    with pytest.raises(ConfigurationError, match="gumbel"):
+        StudyConfig(method="gumbel", quantile_inflation=1.5)
+    with pytest.raises(ConfigurationError, match="gumbel"):
+        StudyConfig(method="gumbel", share_bootstrap=False)
+    StudyConfig(method="bootstrap", quantile_inflation=1.5,
+                share_bootstrap=False)
+
+
+def test_naive_report_has_no_difference_lag():
+    rep = run_naive_study(small_config(replications=1, h=5))
+    assert "h" not in rep.config
+    assert not any(line.startswith("config.h=") for line in rep.to_kv())
+    assert run_study(small_config(replications=1)).config["h"] == 3
