@@ -75,14 +75,19 @@ class StudyConfig:
     blocks; one left None comes from minimum volatility (the other stays
     fixed; ``min_volatility=True`` needs one None) or its plain rule
     (ceil(n^(1/3)), 0.2).
-    Fixed bandwidths and tau lie in (0, 1/2) and 1 <= m <= (n - h) / 4,
-    with h the fixed lag or else the largest the lag scan can return
-    (``h0``, default `default_start_lag`); gumbel needs b < 1/e, bootstrap
-    at least 1000 draws (`check_band_settings`). The fixed h, or with h
-    auto the smallest usable max(lags) + 1, must be below n - 2.
+    Fixed bandwidths and tau lie in (0, 1/2) and m >= 1; gumbel needs
+    b < 1/e, bootstrap at least 1000 draws (`check_band_settings`).
     ``quantile_inflation`` scales the bootstrap critical value, for
     sensitivity checks only; gumbel takes neither it nor
-    ``share_bootstrap=False``. `run_naive_study` has no difference lag.
+    ``share_bootstrap=False``.
+
+    The checks on the working length run when a study starts, because they
+    depend on the estimator. `run_study` needs every positive lag below the
+    fixed h, that h (or with h auto the smallest usable max(lags) + 1)
+    below n - 2, and m <= (n - h) / 4 with h the fixed lag or else the
+    largest the lag scan can return (``h0``, default `default_start_lag`).
+    `run_naive_study` has no difference lag and ignores ``h``, ``h0`` and
+    ``threshold``; it needs max(lags) <= n - 2 and m <= (n - max(lags)) / 4.
     """
 
     model: str | tuple[MeanSpec, ErrorModel] = "model1"
@@ -118,11 +123,6 @@ class StudyConfig:
             raise ConfigurationError("lags must be nonnegative integers")
         self.lags = lags
         check_band_settings(self.method, self.alpha, self.draws)
-        if self.h is not None:
-            if self.h < 1:
-                raise ConfigurationError("h must be >= 1")
-            if any(k >= self.h for k in lags if k > 0):
-                raise ConfigurationError("every positive lag must be < h")
         for name in ("b_h", "b_k", "tau"):
             v = getattr(self, name)
             if v is not None and not 0.0 < v < 0.5:
@@ -133,16 +133,6 @@ class StudyConfig:
             raise ConfigurationError(
                 "min_volatility selects m or tau, but both are fixed"
             )
-        # the smallest h a replication can use must leave enough differences
-        h_low = self.h if self.h is not None else max(lags) + 1
-        if h_low >= self.n - 2:
-            raise ConfigurationError(f"h={h_low} out of range for n={self.n}")
-        if self.m is not None:
-            # the largest h a replication can use leaves the fewest blocks
-            h = self.h
-            if h is None:
-                h = max(self.h0 or default_start_lag(self.n), max(lags) + 1)
-            _check_block_width([self.m], self.n - h)
         if self.threads < 1:
             raise ConfigurationError("threads must be >= 1")
         bandwidth_candidates(self.method, self.bandwidth_grid,
@@ -350,7 +340,38 @@ def _replicate_naive(cfg: StudyConfig, y: TimeSeries,
     return 0, fitted
 
 
+def _check_lengths(cfg: StudyConfig, kind: str) -> None:
+    """The checks that depend on the estimator's working length: n - h
+    differences for the difference study, n - k products at lag k for the
+    residual-based one, which has no difference lag."""
+    top = max(cfg.lags)
+    if kind == "naive":
+        if top > cfg.n - 2:
+            raise ConfigurationError(f"lag {top} out of range for n={cfg.n}")
+        n_work = cfg.n - top
+    else:
+        if cfg.h is not None:
+            if cfg.h < 1:
+                raise ConfigurationError("h must be >= 1")
+            if 0 < top >= cfg.h:
+                raise ConfigurationError("every positive lag must be < h")
+        elif not cfg.threshold > 0:  # NaN included
+            raise ConfigurationError("threshold must be positive")
+        # the smallest h a replication can use must leave enough differences
+        h_low = cfg.h if cfg.h is not None else top + 1
+        if h_low >= cfg.n - 2:
+            raise ConfigurationError(f"h={h_low} out of range for n={cfg.n}")
+        # the largest h a replication can use leaves the fewest blocks
+        h = cfg.h
+        if h is None:
+            h = max(cfg.h0 or default_start_lag(cfg.n), top + 1)
+        n_work = cfg.n - h
+    if cfg.m is not None:
+        _check_block_width([cfg.m], n_work)
+
+
 def _run(cfg: StudyConfig, kind: str) -> StudyReport:
+    _check_lengths(cfg, kind)
     mean, model = cfg.resolve_model()
     replicate = _replicate_naive if kind == "naive" else _replicate_diff
     store = _QuantileStore(cfg)

@@ -573,6 +573,12 @@ def test_flag_and_config_key_a_command_does_not_read(command, key, tmp_path,
     assert main(argv + ["--config", str(cfg)]) == 2
 
 
+def test_naive_study_takes_lags_at_or_above_the_study_h(tmp_path):
+    # the residual-based estimator has no difference lag to stay below
+    argv = REPLAYED["naive-study"] + ["--lags", "0,3", "--out", str(tmp_path)]
+    assert main(argv) == 0
+
+
 def test_naive_study_records_no_difference_lag(tmp_path):
     d = tmp_path / "naive"
     assert main(REPLAYED["naive-study"] + ["--out", str(d)]) == 0

@@ -144,6 +144,8 @@ def test_select_lag_h0_validation():
         select_lag(y, threshold=0.0, b_provider=lambda k, rho: 0.3)
     with pytest.raises(ConfigurationError):
         select_lag(y, threshold=-1.0, b_provider=lambda k, rho: 0.3)
+    with pytest.raises(ConfigurationError):  # not switched off like inf
+        select_lag(y, threshold=math.nan, b_provider=lambda k, rho: 0.3)
 
 
 def test_select_lag_provider_contract_and_echo():
@@ -180,14 +182,3 @@ def test_select_lag_profile_matches_direct_fits():
     assert r.local.shape == (y.n,)
     assert r.local.min() >= 1 and r.local.max() <= 3
 
-
-@pytest.mark.parametrize("threshold", [math.nan, 0.0, -1.0])
-def test_select_lag_rejects_threshold_not_above_zero(threshold):
-    # NaN would otherwise switch the scan off like inf; the check comes
-    # before any lag is fitted
-    def no_fit(k, rho):
-        raise AssertionError("the scan ran")
-
-    y = series(np.random.default_rng(3).normal(size=200))
-    with pytest.raises(ConfigurationError, match="threshold"):
-        select_lag(y, h0=5, threshold=threshold, b_provider=no_fit)

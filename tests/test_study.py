@@ -12,6 +12,7 @@ from tvacov.lrv import ResidualPair, lrv_curve, sigma_functionals
 from tvacov.procgen import MeanSpec, generate, model_preset
 from tvacov.study import (
     StudyConfig,
+    _check_lengths,
     _replicate_naive,
     run_naive_study,
     run_study,
@@ -181,7 +182,7 @@ def test_config_validation():
     with pytest.raises(ConfigurationError):
         StudyConfig(alpha=1.0)
     with pytest.raises(ConfigurationError):
-        StudyConfig(lags=(0, 3), h=3)
+        run_study(StudyConfig(lags=(0, 3), h=3))
     with pytest.raises(ConfigurationError):
         StudyConfig(method="jackknife")
     with pytest.raises(ConfigurationError):
@@ -197,8 +198,12 @@ def test_config_validation():
     # h, fixed or at least max(lags) + 1 when auto, must be below n - 2
     for bad in (dict(h=48), dict(h=48, m=None), dict(h=None, lags=(0, 47))):
         with pytest.raises(ConfigurationError, match="h=48 out of range"):
-            StudyConfig(n=50, **bad)
-    StudyConfig(n=50, h=47, m=None)
+            run_study(StudyConfig(n=50, **bad))
+    _check_lengths(StudyConfig(n=50, h=47, m=None), "difference")
+    # the lag scan's threshold, when h is auto; NaN would fail every
+    # replication inside select_lag
+    with pytest.raises(ConfigurationError, match="threshold"):
+        run_study(StudyConfig(h=None, threshold=np.nan))
     # the limit formula needs b < 1/e, fixed or cross-validated
     with pytest.raises(ConfigurationError):
         StudyConfig(method="gumbel", b_h=0.4)
@@ -210,12 +215,12 @@ def test_config_validation():
 def test_config_block_width_bound():
     # m <= (n - h) // 4 for the fixed h, else for the top of the lag scan
     # (default_start_lag(160) = 5, or h0)
-    StudyConfig(n=160, h=3, m=39)
+    _check_lengths(StudyConfig(n=160, h=3, m=39), "difference")
     with pytest.raises(ConfigurationError, match=r"\[1, 38\]"):
-        StudyConfig(n=160, h=None, m=39)
-    StudyConfig(n=160, h=None, m=38)
+        run_study(StudyConfig(n=160, h=None, m=39))
+    _check_lengths(StudyConfig(n=160, h=None, m=38), "difference")
     with pytest.raises(ConfigurationError, match=r"\[1, 37\]"):
-        StudyConfig(n=160, h=None, h0=10, m=38)
+        run_study(StudyConfig(n=160, h=None, h0=10, m=38))
 
 
 def test_lags_deduplicated_and_sorted():
@@ -243,3 +248,15 @@ def test_naive_report_has_no_difference_lag():
     assert "h" not in rep.config
     assert not any(line.startswith("config.h=") for line in rep.to_kv())
     assert run_study(small_config(replications=1)).config["h"] == 3
+
+
+def test_naive_study_checks_lengths_without_a_difference_lag():
+    # the default h = 3 bounds neither the naive lags nor its blocks: lag k
+    # works on n - k products, so m = n // 4 fits at lag 0
+    run_naive_study(small_config(replications=1, lags=(0, 3)))
+    run_naive_study(small_config(replications=1, lags=(0,), m=150 // 4))
+    for bad in (dict(lags=(0, 3), m=37), dict(lags=(0, 149), m=None)):
+        with pytest.raises(ConfigurationError):
+            run_naive_study(small_config(**bad))
+    # an unused h or threshold is not checked either
+    run_naive_study(small_config(replications=1, h=None, threshold=np.nan))
