@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diffseries import difference
+from .diffseries import difference, select_lag
 from .errors import ConfigurationError, InvalidLagError
 from .kernels import Kernel
 from .locallinear import CurveOnGrid, fit_curve, interior_grid, unit_grid
@@ -36,7 +36,7 @@ from .lrv import (
     sigma_functionals,
 )
 from .procgen import TimeSeries
-from .tuning import gcv_bandwidth, min_volatility
+from .tuning import check_bandwidth_grid, gcv_bandwidth, min_volatility
 
 __all__ = [
     "AcovEstimate",
@@ -208,7 +208,8 @@ def _per_lag(value, count: int, what: str) -> list:
     if len(values) == 1:
         return list(values) * count
     if len(values) != count:
-        raise ConfigurationError(f"{what} needs 1 or {count} values")
+        want = "one value" if count == 1 else f"one value or {count}"
+        raise ConfigurationError(f"{what} takes {want}, got {len(values)}")
     return list(values)
 
 
@@ -223,9 +224,22 @@ def _check_block_width(m: Sequence[int | None], n_work: int) -> None:
         )
 
 
+def _truncation_lag(y: TimeSeries, h, lags, kernel: Kernel, b_h, bandwidths,
+                    h0=None, threshold=3.0) -> tuple[int, float | None]:
+    """h, at least max(lags) + 1 when the lag scan picks it (h None), and
+    the lag-0 bandwidth: b_h, or with b_h None the scan's own choice for the
+    lag-h series when it scored the same candidates (the default grid)."""
+    if h is None:
+        sel = select_lag(y, h0=h0, threshold=threshold, kernel=kernel)
+        h = max(sel.h, max(lags) + 1)
+        if b_h is None and bandwidths is None and h <= sel.h0:
+            b_h = sel.bandwidths[h - 1]
+    return h, b_h
+
+
 def estimate_lags(
     y: TimeSeries,
-    h: int,
+    h: int | None,
     lags: Sequence[int],
     kernel: Kernel,
     b_h: float | None = None,
@@ -235,7 +249,9 @@ def estimate_lags(
     bandwidths: np.ndarray | None = None,
     grid_points: int | None = None,
 ) -> list[LagEstimate]:
-    """Estimate and band scales for each lag, 0 <= lag < h < N - 2.
+    """Estimate and band scales for each lag, 0 <= lag < h < N - 2; h None
+    runs the lag scan `select_lag`, whose lag-h bandwidth lag 0 reuses when
+    ``b_h`` is None and ``bandwidths`` the default.
 
     Per lag: the bandwidth (``b_h`` at lag 0, ``b_k`` at lag k; None
     cross-validates over ``bandwidths``, on the lag-h series at lag 0 and on
@@ -243,30 +259,46 @@ def estimate_lags(
     `estimate_gammak`, the pair of `residuals` (k = 1 at lag 0), its blocks
     (minimum volatility picks an ``m`` or ``tau`` left None) and
     `sigma_functionals` on the estimate's grid. ``b_k``, ``m`` and ``tau``
-    take one value or one per (positive) lag; a fixed ``m`` must lie in
-    [1, (N - h) // 4], checked before any tuning. ``grid_points`` evaluates
-    on that many (at least 1) equispaced points of [b, 1-b] instead of the
-    design points.
+    take one value or one per (positive) lag; a fixed ``b_h`` needs lag 0,
+    ``b_k`` a positive lag, ``m`` [1, (N - h) // 4], all checked before any
+    tuning or scan. ``grid_points`` evaluates on that many (at least 1)
+    equispaced points of [b, 1-b] instead of the design points.
 
     Each difference series is fitted once per (lag, bandwidth) at its design
-    points; residuals and default-grid lag-h levels are read off that fit,
-    so centers match the step-by-step functions to rounding, not bitwise.
+    points, and each band scale computed once (lags 0 and 1 share one);
+    residuals and default-grid lag-h levels are read off that fit, so
+    centers match the step-by-step functions to rounding, not bitwise.
     """
     lags = tuple(int(k) for k in lags)
-    if not 1 <= h < y.n - 2:
-        raise ConfigurationError(f"h={h} out of range for n={y.n}")
-    if any(not 0 <= k < h for k in lags):
-        raise ConfigurationError(f"every lag must be in [0, h={h})")
+    # the scan returns an h above max(lags), so h_low is the smallest h
+    h_low = max(lags, default=0) + 1 if h is None else h
+    if not lags or min(lags) < 0 or max(lags) >= h_low:
+        raise ConfigurationError(f"every lag must be in [0, h={h_low})")
+    if not 1 <= h_low < y.n - 2:
+        raise ConfigurationError(f"h={h_low} out of range for n={y.n}")
     if grid_points is not None and grid_points < 1:
         raise ConfigurationError(f"grid_points must be >= 1, got {grid_points}")
-    b_k = iter(_per_lag(b_k, sum(k > 0 for k in lags), "b_k"))
-    b = [b_h if k == 0 else next(b_k) for k in lags]
+    if b_h is not None and 0 not in lags:
+        raise ConfigurationError("b_h is the lag-0 bandwidth, but lags has "
+                                 "no 0")
+    positive = sum(k > 0 for k in lags)
+    if b_k is not None and not positive:
+        raise ConfigurationError("b_k is the bandwidth of lags k > 0, but "
+                                 "lags has none")
+    if bandwidths is not None:
+        check_bandwidth_grid(bandwidths)
+    b_k = iter(_per_lag(b_k, positive, "b_k"))
     m = _per_lag(m, len(lags), "m")
-    _check_block_width(m, y.n - h)
+    _check_block_width(m, y.n - h_low)
     tau = _per_lag(tau, len(lags), "tau")
+    h, b_h = _truncation_lag(y, h, lags, kernel, b_h, bandwidths)
+    _check_block_width(m, y.n - h)
+    b = [b_h if k == 0 else next(b_k) for k in lags]
 
     rho_h = difference(y, h).values
     fits: dict = {}
+    # the band grid is a function of the bandwidth, so it needs no key
+    scales: dict = {}
     out = []
     for lag, b_lag, m_lag, tau_lag in zip(lags, b, m, tau):
         if b_lag is None:
@@ -279,9 +311,11 @@ def estimate_lags(
         if grid_points is not None:
             grid = np.linspace(b_lag, 1.0 - b_lag, int(grid_points))
         band_grid = interior_grid(rho_h.size, b_lag) if grid is None else grid
-        pair = _residual_pair(y, max(lag, 1), h, b_lag, kernel, fits)
-        sigma, m_lag, tau_lag = _band_scale(pair, m_lag, tau_lag, kernel,
-                                            band_grid)
+        key = (max(lag, 1), b_lag, m_lag, tau_lag)
+        if key not in scales:
+            pair = _residual_pair(y, max(lag, 1), h, b_lag, kernel, fits)
+            scales[key] = _band_scale(pair, m_lag, tau_lag, kernel, band_grid)
+        sigma, m_lag, tau_lag = scales[key]
         est = _difference_estimate(y, lag, h, b_lag, kernel, grid, fits)
         out.append(LagEstimate(est, sigma, m_lag, tau_lag))
     return out

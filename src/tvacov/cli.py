@@ -11,9 +11,10 @@ win over defaults. ``auto`` (choose from the data) is a value of h, h0,
 b_h, b_k, m, tau and grid_points; a study takes one value each of b_k, m
 and tau. A key the command does not take, a flag not spelled out in full
 or a value its parser rejects exits 2 before any series is loaded, as does
-an n other than the row count of --input. Every run that writes output also
-writes ``manifest.txt`` holding the fully resolved parameters; the manifest
-is itself a valid config file, so
+an n other than the row count of --input. `estimate` and `tune` pass an
+auto h to `estimate_lags`, which runs every check before its lag scan.
+Every run that writes output also writes ``manifest.txt`` holding the fully
+resolved parameters; the manifest is itself a valid config file, so
 
     tvacov estimate --config out/manifest.txt --out other
 
@@ -316,20 +317,6 @@ def _write_band_csv(path: Path, band) -> None:
 # ---------------------------------------------------------------------------
 # subcommands
 
-def _truncation_lag(values, y: TimeSeries, lags, kernel,
-                    candidates) -> tuple[int, float | None]:
-    """h, and the lag-0 bandwidth: b_h, or with b_h auto the lag scan's own
-    cross-validated choice for the lag-h series when the scan scored it over
-    the same candidates (the default grid)."""
-    h, b_h = values.get("h"), values.get("b_h")
-    if h is None:
-        sel = select_lag(y, kernel=kernel)
-        h = max(sel.h, max(lags) + 1)
-        if b_h is None and candidates is None and h <= sel.h0:
-            b_h = sel.bandwidths[h - 1]
-    return h, b_h
-
-
 def _cmd_estimate(args) -> int:
     v = _settings(args)
     if not args.out:
@@ -337,24 +324,14 @@ def _cmd_estimate(args) -> int:
     out = Path(args.out)
     kernel = epanechnikov()
     lags = tuple(sorted(set(v["lags"])))
-    if any(k < 0 for k in lags):
-        raise ConfigurationError("lags must be nonnegative")
-    if v.get("b_h") is not None and lags[0] != 0:
-        raise ConfigurationError("b_h is the lag-0 bandwidth, but lags has "
-                                 "no 0")
-    if v.get("b_k") is not None and lags[-1] == 0:
-        raise ConfigurationError("b_k is the bandwidth of lags k > 0, but "
-                                 "lags has none")
     method, alpha, draws = v["method"], v["alpha"], v["draws"]
     check_band_settings(method, alpha, draws)
     y = _load_series(v)
     candidates = bandwidth_candidates(method, v.get("bandwidth_grid"),
                                       (v.get("b_h"), *(v.get("b_k") or [None])))
-    h, b_h = _truncation_lag(v, y, lags, kernel, candidates)
-
     fits = estimate_lags(
-        y, h, lags, kernel, b_h=b_h, b_k=v.get("b_k"), m=v.get("m"),
-        tau=v.get("tau"), bandwidths=candidates,
+        y, v.get("h"), lags, kernel, b_h=v.get("b_h"), b_k=v.get("b_k"),
+        m=v.get("m"), tau=v.get("tau"), bandwidths=candidates,
         grid_points=v.get("grid_points"),
     )
     # A critical value depends on its context (n, b, band grid), never on
@@ -388,7 +365,7 @@ def _cmd_estimate(args) -> int:
               f"clipped={fit.sigma.clipped}{shared}")
 
     _write_manifest(out, "estimate", dict(
-        v, n=y.n, lags=lags, h=h,
+        v, n=y.n, lags=lags, h=fits[0].estimate.diff_lag,
         b_h=fits[0].b if lags[0] == 0 else None,
         b_k=tuple(fit.b for fit in fits if fit.estimate.lag > 0) or None,
         m=tuple(fit.m for fit in fits),
@@ -432,12 +409,11 @@ def _cmd_study(args) -> int:
 
 def _cmd_tune(args) -> int:
     v = _settings(args)
-    kernel = epanechnikov()
     y = _load_series(v)
-    grid = v.get("bandwidth_grid")
-    h, b_h = _truncation_lag(v, y, (0, 1), kernel, grid)
-    lag0, lag1 = estimate_lags(y, h, (0, 1), kernel, b_h=b_h, bandwidths=grid)
-    tuned = dict(h=h, b_h=lag0.b, b_k=lag1.b, m=lag1.m, tau=lag1.tau)
+    lag0, lag1 = estimate_lags(y, v.get("h"), (0, 1), epanechnikov(),
+                               bandwidths=v.get("bandwidth_grid"))
+    tuned = dict(h=lag0.estimate.diff_lag, b_h=lag0.b, b_k=lag1.b, m=lag1.m,
+                 tau=lag1.tau)
     lines = [f"{key}={_format(x)}" for key, x in tuned.items()]
     print("\n".join(lines))
     if args.out:

@@ -44,7 +44,7 @@ from .errors import (
 )
 from .kernels import Kernel
 from .locallinear import CurveOnGrid, interior_grid, unit_grid, weight_matrix
-from .tuning import default_bandwidth_grid
+from .tuning import check_bandwidth_grid, default_bandwidth_grid
 
 __all__ = [
     "BootstrapQuantile",
@@ -280,11 +280,14 @@ def bandwidth_candidates(
 ) -> np.ndarray | None:
     """Cross-validation candidates for a band method, checked before tuning.
 
-    Under gumbel, each fixed band bandwidth in ``fixed`` (None where
-    cross-validated) must be below `GUMBEL_MAX_BANDWIDTH` and the candidates
-    (default `default_bandwidth_grid`) are cut below it; the cut changes no
-    choice the limit formula accepts. Other methods keep ``bandwidths``.
+    Given ``bandwidths`` must pass `check_bandwidth_grid`. Under gumbel,
+    each fixed band bandwidth in ``fixed`` (None where cross-validated) must
+    be below `GUMBEL_MAX_BANDWIDTH` and the candidates (default
+    `default_bandwidth_grid`) are cut below it; the cut changes no choice
+    the limit formula accepts. Other methods keep ``bandwidths``.
     """
+    if bandwidths is not None:
+        check_bandwidth_grid(bandwidths)
     if method != "gumbel":
         return bandwidths
     if any(b is not None and b >= GUMBEL_MAX_BANDWIDTH for b in fixed):

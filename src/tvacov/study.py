@@ -32,9 +32,10 @@ from .acov import (
     _interior,
     _lag_products,
     _naive_acov,
+    _truncation_lag,
     estimate_lags,
 )
-from .diffseries import default_start_lag, select_lag
+from .diffseries import default_start_lag
 from .errors import ConfigurationError, NumericError, TvacovError
 from .kernels import Kernel, epanechnikov
 from .locallinear import CurveOnGrid, fit_at_data
@@ -71,12 +72,14 @@ class StudyConfig:
     ``h`` fixes the truncation lag; ``h=None`` re-selects it per replication
     with the lag scan. ``b_h``/``b_k`` fix the regression bandwidths;
     ``None`` switches that bandwidth to per-replication cross-validation
-    over ``bandwidth_grid``. ``m``/``tau`` fix the long-run covariance
-    blocks; one left None comes from minimum volatility (the other stays
-    fixed; ``min_volatility=True`` needs one None) or its plain rule
-    (ceil(n^(1/3)), 0.2).
-    Fixed bandwidths and tau lie in (0, 1/2) and m >= 1; gumbel needs
-    b < 1/e, bootstrap at least 1000 draws (`check_band_settings`).
+    over ``bandwidth_grid``; with h auto and the default grid, lag 0 takes
+    the scan's own choice for the lag-h series, as `estimate_lags` does.
+    ``m``/``tau`` fix the long-run covariance blocks; one left None comes
+    from minimum volatility (the other stays fixed; ``min_volatility=True``
+    needs one None) or its plain rule (ceil(n^(1/3)), 0.2).
+    Fixed bandwidths, bandwidth_grid values and tau lie in (0, 1/2) and
+    m >= 1; gumbel needs b < 1/e, bootstrap at least 1000 draws
+    (`check_band_settings`).
     ``quantile_inflation`` scales the bootstrap critical value, for
     sensitivity checks only; gumbel takes neither it nor
     ``share_bootstrap=False``.
@@ -312,14 +315,14 @@ def _score(cfg: StudyConfig, store: _QuantileStore, rep: int,
 
 def _replicate_diff(cfg: StudyConfig, y: TimeSeries,
                     bandwidths: np.ndarray | None) -> tuple[int, list]:
-    h = cfg.h
-    if h is None:
-        h = select_lag(y, h0=cfg.h0, threshold=cfg.threshold,
-                       kernel=cfg.kernel).h
-        h = max(h, max(cfg.lags) + 1)
+    h, b_h = _truncation_lag(y, cfg.h, cfg.lags, cfg.kernel, cfg.b_h,
+                             bandwidths, cfg.h0, cfg.threshold)
     m, tau = _blocks(cfg, y.n - h)
-    fits = estimate_lags(y, h, cfg.lags, cfg.kernel, b_h=cfg.b_h,
-                         b_k=cfg.b_k, m=m, tau=tau, bandwidths=bandwidths)
+    # each bandwidth goes only where a lag uses it
+    fits = estimate_lags(y, h, cfg.lags, cfg.kernel,
+                         b_h=b_h if cfg.lags[0] == 0 else None,
+                         b_k=cfg.b_k if cfg.lags[-1] > 0 else None,
+                         m=m, tau=tau, bandwidths=bandwidths)
     return h, [(f.estimate, f.scale, f.m, f.tau) for f in fits]
 
 

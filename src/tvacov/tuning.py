@@ -27,6 +27,7 @@ from .lrv import LongRunCovCurve, ResidualPair, _smoothed_blocks
 __all__ = [
     "GcvResult",
     "MinVolResult",
+    "check_bandwidth_grid",
     "default_bandwidth_grid",
     "gcv_bandwidth",
     "default_block_grid",
@@ -43,6 +44,20 @@ _TIE_EPS = 1e-12
 def default_bandwidth_grid() -> np.ndarray:
     """0.15 to 0.45 in steps of 0.01."""
     return np.round(np.linspace(0.15, 0.45, 31), 10)
+
+
+def check_bandwidth_grid(bandwidths: np.ndarray) -> np.ndarray:
+    """The distinct candidates, ascending; a grid that is empty or holds a
+    value outside (0, 1/2), NaN included, is a configuration error."""
+    grid = np.unique(np.asarray(bandwidths, dtype=float))
+    if grid.size == 0:
+        raise ConfigurationError("bandwidth grid is empty")
+    bad = grid[~((grid > 0.0) & (grid < 0.5))]
+    if bad.size:
+        raise ConfigurationError(
+            f"bandwidth candidates must be in (0, 1/2), got {bad.tolist()}"
+        )
+    return grid
 
 
 @dataclass(frozen=True)
@@ -72,6 +87,8 @@ def gcv_bandwidth(
 
     Raises
     ------
+    ConfigurationError
+        If a candidate lies outside (0, 1/2) (`check_bandwidth_grid`).
     TuningError
         If every candidate fails (singular design or trace >= n).
     """
@@ -82,16 +99,14 @@ def gcv_bandwidth(
         kernel = epanechnikov()
     if bandwidths is None:
         bandwidths = default_bandwidth_grid()
-    bandwidths = np.unique(np.asarray(bandwidths, dtype=float))
-    if bandwidths.size == 0:
-        raise ConfigurationError("bandwidth grid is empty")
+    bandwidths = check_bandwidth_grid(bandwidths)
     n = series.size
 
     scores = np.full(bandwidths.size, np.inf)
     for j, b in enumerate(bandwidths):
         try:
             fitted, trace = fit_at_data(series, float(b), kernel)
-        except (SingularDesignError, ConfigurationError):
+        except SingularDesignError:
             continue
         if trace >= n:
             continue

@@ -16,7 +16,7 @@ from tvacov.acov import (
     estimate_lags,
     naive_estimate,
 )
-from tvacov.diffseries import difference
+from tvacov.diffseries import difference, select_lag
 from tvacov.errors import ConfigurationError, InvalidLagError
 from tvacov.kernels import epanechnikov
 from tvacov.locallinear import fit_curve, interior_grid
@@ -203,3 +203,77 @@ def test_naive_lag_validation():
         naive_estimate(y, -1, KERN, b_mean=0.2, b_var=0.2)
     with pytest.raises(InvalidLagError):
         naive_estimate(y, 99, KERN, b_mean=0.2, b_var=0.2)
+
+
+def test_estimate_lags_auto_h_equals_the_two_step_result():
+    # h from the scan, lag 0's bandwidth the scan's own choice for the
+    # lag-h series: the same function on the same series as scoring it again
+    y = make_series(n=400, seed=7)
+    fits = estimate_lags(y, None, (0, 1), KERN, m=3, tau=0.2)
+    sel = select_lag(y, kernel=KERN)
+    h = max(sel.h, 2)
+    assert sel.bandwidths[h - 1] == gcv_bandwidth(
+        difference(y, h).values, kernel=KERN).bandwidth
+    two_step = estimate_lags(y, h, (0, 1), KERN, b_h=sel.bandwidths[h - 1],
+                             m=3, tau=0.2)
+    for fit, ref in zip(fits, two_step):
+        assert fit.estimate.diff_lag == h
+        assert (fit.b, fit.m, fit.tau) == (ref.b, ref.m, ref.tau)
+        assert_array_equal(fit.estimate.curve.grid, ref.estimate.curve.grid)
+        assert_array_equal(fit.estimate.curve.values,
+                           ref.estimate.curve.values)
+        assert_array_equal(fit.scale.values, ref.scale.values)
+
+
+def counting(monkeypatch, name):
+    calls = []
+    orig = getattr(acov, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return orig(*args, **kwargs)
+
+    monkeypatch.setattr(acov, name, wrapper)
+    return calls
+
+
+def test_lags_zero_and_one_share_one_band_scale(monkeypatch):
+    # both band from the residual pair (h, 1)
+    lrv = counting(monkeypatch, "lrv_curve")
+    minvol = counting(monkeypatch, "min_volatility")
+    y = make_series()
+    fit0, fit1 = estimate_lags(y, 3, (0, 1), KERN, b_h=0.2, b_k=0.2, m=3,
+                               tau=0.2)
+    assert (len(lrv), len(minvol)) == (1, 0)
+    assert fit0.sigma is fit1.sigma
+    fit0, fit1 = estimate_lags(y, 3, (0, 1), KERN, b_h=0.2, b_k=0.2)
+    assert (len(lrv), len(minvol)) == (2, 1)
+    assert fit0.sigma is fit1.sigma
+    fit0, fit1 = estimate_lags(y, 3, (0, 1), KERN, b_h=0.2, b_k=0.25, m=3,
+                               tau=0.2)
+    assert len(lrv) == 4
+    assert fit0.sigma is not fit1.sigma
+
+
+@pytest.mark.parametrize("lags, kwargs", [
+    ((1,), dict(b_h=0.2)), ((1, 2), dict(b_h=0.2)), ((0,), dict(b_k=0.2)),
+])
+def test_estimate_lags_rejects_bandwidth_of_a_lag_not_asked_for(lags, kwargs):
+    with pytest.raises(ConfigurationError, match="but lags has"):
+        estimate_lags(make_series(n=200), 3, lags, KERN, **kwargs)
+
+
+def test_estimate_lags_checks_run_before_the_lag_scan(monkeypatch):
+    def no_tuning(*args, **kwargs):
+        raise AssertionError("tuning ran")
+
+    monkeypatch.setattr(acov, "select_lag", no_tuning)
+    y = make_series(n=400)
+    bad = [dict(lags=(0, -1)), dict(grid_points=0), dict(b_k=(0.2, 0.3)),
+           dict(m=(3, 4, 5)), dict(tau=(0.2, 0.3, 0.4)), dict(m=100),
+           dict(lags=(0, 397)), dict(bandwidths=np.array([0.2, 0.6])),
+           dict(bandwidths=np.array([0.2, np.nan]))]
+    for kwargs in bad:
+        kwargs = {"lags": (0, 1), **kwargs}
+        with pytest.raises(ConfigurationError):
+            estimate_lags(y, None, kernel=KERN, **kwargs)

@@ -295,9 +295,10 @@ def test_exit_code_block_width_above_working_length(tmp_path, monkeypatch):
     monkeypatch.setattr(acov, "gcv_bandwidth", no_tuning)
     base = ["estimate", "--model", "model1", "--n", "200", "--seed", "3",
             "--out", str(tmp_path / "o")]
-    # after the lag scan, before cross-validation
+    # before the lag scan and cross-validation: every h the scan can
+    # return is above max(lags), so m = 60 > (200 - 2) / 4 fails for all
     assert main(base + ["--m", "60"]) == 2
-    monkeypatch.setattr(cli, "select_lag", no_tuning)
+    monkeypatch.setattr(acov, "select_lag", no_tuning)
     assert main(base + ["--h", "3", "--m", "3,50"]) == 2
 
 
@@ -371,7 +372,7 @@ def test_gumbel_rejects_bandwidths_before_tuning(tmp_path, monkeypatch):
     def no_tuning(*args, **kwargs):
         raise AssertionError("tuning ran")
 
-    monkeypatch.setattr(cli, "select_lag", no_tuning)
+    monkeypatch.setattr(acov, "select_lag", no_tuning)
     monkeypatch.setattr(acov, "gcv_bandwidth", no_tuning)
     base = ["estimate", "--model", "model1", "--n", "400", "--seed", "3",
             "--method", "gumbel", "--out", str(tmp_path / "o")]
@@ -473,7 +474,7 @@ def test_bad_flag_values_exit_2_without_traceback(flag, value, tmp_path,
 
 
 def test_bad_method_in_config_fails_before_tuning(tmp_path, monkeypatch):
-    monkeypatch.setattr(cli, "select_lag", no_tuning)
+    monkeypatch.setattr(acov, "select_lag", no_tuning)
     monkeypatch.setattr(acov, "gcv_bandwidth", no_tuning)
     cfg = tmp_path / "c.cfg"
     cfg.write_text("method=tube\n")
@@ -506,7 +507,7 @@ def test_study_takes_one_value_per_tuning_list(line, tmp_path):
 @pytest.mark.parametrize("points", ["0", "-3"])
 def test_grid_points_below_one_fail_before_tuning(points, tmp_path,
                                                   monkeypatch):
-    monkeypatch.setattr(cli, "select_lag", no_tuning)
+    monkeypatch.setattr(acov, "select_lag", no_tuning)
     monkeypatch.setattr(acov, "gcv_bandwidth", no_tuning)
     argv = ["estimate", "--model", "model1", "--n", "200", "--h", "3",
             "--grid-points", points, "--out", str(tmp_path / "o")]
@@ -516,7 +517,7 @@ def test_grid_points_below_one_fail_before_tuning(points, tmp_path,
 @pytest.mark.parametrize("bad", [["--draws", "5"], ["--alpha", "1.5"],
                                  ["--alpha", "0"]])
 def test_draws_and_alpha_fail_before_tuning(bad, tmp_path, monkeypatch):
-    monkeypatch.setattr(cli, "select_lag", no_tuning)
+    monkeypatch.setattr(acov, "select_lag", no_tuning)
     monkeypatch.setattr(acov, "gcv_bandwidth", no_tuning)
     base = ["estimate", "--model", "model1", "--n", "400",
             "--out", str(tmp_path / "o")]
@@ -557,6 +558,7 @@ def exit_code(argv):
 @pytest.fixture
 def tripwires(monkeypatch):
     monkeypatch.setattr(cli, "select_lag", no_tuning)
+    monkeypatch.setattr(acov, "select_lag", no_tuning)
     monkeypatch.setattr(acov, "gcv_bandwidth", no_tuning)
     monkeypatch.setattr(study_module, "_run", no_tuning)
 
@@ -636,3 +638,27 @@ def test_study_min_volatility_with_fixed_blocks_exits_2(tripwires):
     assert main(study + ["--m", "4", "--tau", "0.3"]) == 2
     with pytest.raises(AssertionError, match="tuning ran"):
         main(study + ["--m", "auto"])
+
+
+@pytest.mark.parametrize("bad", [["--grid-points", "0"],
+                                 ["--b-k", "0.2,0.3"], ["--m", "600"]])
+def test_estimate_with_auto_h_checks_before_the_lag_scan(bad, tmp_path,
+                                                         tripwires):
+    # every h the scan can return is above max(lags) = 1, so m = 600 >
+    # (2000 - 2) / 4 fails for all of them
+    argv = ["estimate", "--model", "model1", "--n", "2000", "--h", "auto",
+            "--lags", "0,1", "--out", str(tmp_path / "o")]
+    assert main(argv + bad) == 2
+
+
+@pytest.mark.parametrize("grid", ["0.6,0.7", "0.2,0.7,nan"])
+@pytest.mark.parametrize("command", ["estimate", "tune", "study"])
+def test_bandwidth_grid_outside_the_open_half_interval_exits_2(
+        grid, command, tmp_path, capsys, tripwires):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(f"bandwidth_grid={grid}\n")
+    argv = REPLAYED[command] + ["--config", str(cfg),
+                                "--out", str(tmp_path / "o")]
+    assert main(argv) == 2
+    assert "must be in (0, 1/2)" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()

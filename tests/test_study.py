@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
+from tvacov import acov, tuning
 from tvacov.acov import naive_estimate
+from tvacov.diffseries import default_start_lag
 from tvacov.errors import ConfigurationError, NumericError
 from tvacov.kernels import epanechnikov
 from tvacov.locallinear import fit_at_data, fit_curve
@@ -260,3 +262,24 @@ def test_naive_study_checks_lengths_without_a_difference_lag():
             run_naive_study(small_config(**bad))
     # an unused h or threshold is not checked either
     run_naive_study(small_config(replications=1, h=None, threshold=np.nan))
+
+
+def test_all_auto_study_takes_lag_zero_bandwidth_from_the_scan(monkeypatch):
+    # the scan cross-validates lags 1..h0; of the pipeline's two bandwidths
+    # only lag 1's is scored again
+    calls = []
+
+    def counted(orig):
+        def wrapper(*args, **kwargs):
+            calls.append(args)
+            return orig(*args, **kwargs)
+        return wrapper
+
+    # the scan binds tuning's name, the per-lag pipeline acov's
+    for module in (tuning, acov):
+        monkeypatch.setattr(module, "gcv_bandwidth",
+                            counted(module.gcv_bandwidth))
+    cfg = small_config(replications=1, h=None, b_h=None, b_k=None, m=None,
+                       tau=None)
+    assert run_study(cfg).n_success == 1
+    assert len(calls) == default_start_lag(cfg.n) + 1

@@ -97,6 +97,14 @@ def test_gcv_validation():
         gcv_bandwidth(np.ones(20), np.array([]))
 
 
+@pytest.mark.parametrize("grid", [[0.6, 0.7], [0.2, 0.7], [0.0, 0.2],
+                                  [0.2, np.nan], [0.2, np.inf], [0.5]])
+def test_gcv_rejects_candidates_outside_the_open_half_interval(grid):
+    v = np.random.default_rng(0).normal(size=200)
+    with pytest.raises(ConfigurationError, match="must be in"):
+        gcv_bandwidth(v, np.array(grid))
+
+
 def test_default_block_grid_values():
     assert_array_equal(default_block_grid(400), [4, 6, 8, 10, 11, 13, 15])
     assert_array_equal(default_block_grid(100), [3, 4, 5, 6, 8, 9, 10])
