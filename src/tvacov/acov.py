@@ -36,7 +36,8 @@ from .lrv import (
     sigma_functionals,
 )
 from .procgen import TimeSeries
-from .tuning import check_bandwidth_grid, gcv_bandwidth, min_volatility
+from .tuning import (check_bandwidth_grid, default_bandwidth_grid,
+                     gcv_bandwidth, min_volatility)
 
 __all__ = [
     "AcovEstimate",
@@ -213,27 +214,69 @@ def _per_lag(value, count: int, what: str) -> list:
     return list(values)
 
 
+def _check_values(values: Sequence, ok, rule: str) -> None:
+    """Raise naming ``rule`` and each distinct value outside ``ok``."""
+    bad = [v for v in values if v is not None and not ok(v)]
+    if bad:
+        raise ConfigurationError(f"{rule}, got {np.unique(bad).tolist()}")
+
+
 def _check_block_width(m: Sequence[int | None], n_work: int) -> None:
     """Every fixed block half-width must lie in [1, n_work // 4]."""
     top = n_work // 4
-    bad = [v for v in m if v is not None and not 1 <= v <= top]
-    if bad:
-        raise ConfigurationError(
-            f"block half-width m must be in [1, {top}] for working length "
-            f"{n_work}, got {bad}"
-        )
+    _check_values(m, lambda v: 1 <= v <= top,
+                  f"block half-width m must be in [1, {top}] for working "
+                  f"length {n_work}")
 
 
-def _truncation_lag(y: TimeSeries, h, lags, kernel: Kernel, b_h, bandwidths,
-                    h0=None, threshold=3.0) -> tuple[int, float | None]:
+def _check_settings(n: int, h: int | None, lags: tuple[int, ...], b_h, b_k,
+                    m, tau, bandwidths, grid_points) -> tuple[list, list, list]:
+    """The checks of `estimate_lags` that need no data, for a series of
+    length n; returns b_k per positive lag and m and tau per lag."""
+    # the scan returns an h above max(lags), so h_low is the smallest h
+    h_low = max(lags, default=0) + 1 if h is None else h
+    if not lags or min(lags) < 0 or max(lags) >= h_low:
+        raise ConfigurationError(f"every lag must be in [0, h={h_low})")
+    if not 1 <= h_low < n - 2:
+        raise ConfigurationError(f"h={h_low} out of range for n={n}")
+    if grid_points is not None and grid_points < 1:
+        raise ConfigurationError(f"grid_points must be >= 1, got {grid_points}")
+    if b_h is not None and 0 not in lags:
+        raise ConfigurationError("b_h is the lag-0 bandwidth, but lags has "
+                                 "no 0")
+    positive = sum(k > 0 for k in lags)
+    if b_k is not None and not positive:
+        raise ConfigurationError("b_k is the bandwidth of lags k > 0, but "
+                                 "lags has none")
+    if bandwidths is not None:
+        check_bandwidth_grid(bandwidths)
+    b_k = _per_lag(b_k, positive, "b_k")
+    m = _per_lag(m, len(lags), "m")
+    tau = _per_lag(tau, len(lags), "tau")
+    for what, values in (("b_h", [b_h]), ("b_k", b_k), ("tau", tau)):
+        _check_values(values, lambda v: 0.0 < v < 0.5,  # NaN fails
+                      f"{what} must be in (0, 1/2)")
+    _check_block_width(m, n - h_low)
+    return b_k, m, tau
+
+
+def _truncation_lag(y: TimeSeries, h, lags, kernel: Kernel, b_h,
+                    bandwidths) -> tuple[int, float | None]:
     """h, at least max(lags) + 1 when the lag scan picks it (h None), and
-    the lag-0 bandwidth: b_h, or with b_h None the scan's own choice for the
-    lag-h series when it scored the same candidates (the default grid)."""
+    the lag-0 bandwidth: b_h, or with b_h None the scan's choice b for the
+    lag-h series when ``bandwidths`` are on the scan's default grid and hold
+    all its values up to b: b is its largest minimizer, so scoring them
+    again would return b."""
     if h is None:
-        sel = select_lag(y, h0=h0, threshold=threshold, kernel=kernel)
+        sel = select_lag(y, kernel=kernel)
         h = max(sel.h, max(lags) + 1)
-        if b_h is None and bandwidths is None and h <= sel.h0:
-            b_h = sel.bandwidths[h - 1]
+        if b_h is None and h <= sel.h0:
+            b = sel.bandwidths[h - 1]
+            scored = default_bandwidth_grid()
+            cand = scored if bandwidths is None else np.asarray(bandwidths)
+            if (np.isin(cand, scored).all()
+                    and np.isin(scored[scored <= b], cand).all()):
+                b_h = b
     return h, b_h
 
 
@@ -251,7 +294,7 @@ def estimate_lags(
 ) -> list[LagEstimate]:
     """Estimate and band scales for each lag, 0 <= lag < h < N - 2; h None
     runs the lag scan `select_lag`, whose lag-h bandwidth lag 0 reuses when
-    ``b_h`` is None and ``bandwidths`` the default.
+    ``b_h`` is None and scoring ``bandwidths`` would return it too.
 
     Per lag: the bandwidth (``b_h`` at lag 0, ``b_k`` at lag k; None
     cross-validates over ``bandwidths``, on the lag-h series at lag 0 and on
@@ -260,9 +303,10 @@ def estimate_lags(
     (minimum volatility picks an ``m`` or ``tau`` left None) and
     `sigma_functionals` on the estimate's grid. ``b_k``, ``m`` and ``tau``
     take one value or one per (positive) lag; a fixed ``b_h`` needs lag 0,
-    ``b_k`` a positive lag, ``m`` [1, (N - h) // 4], all checked before any
-    tuning or scan. ``grid_points`` evaluates on that many (at least 1)
-    equispaced points of [b, 1-b] instead of the design points.
+    ``b_k`` a positive lag, fixed bandwidths and ``tau`` lie in (0, 1/2) and
+    ``m`` in [1, (N - h) // 4], all checked before any tuning or scan.
+    ``grid_points`` evaluates on that many (at least 1) equispaced points of
+    [b, 1-b] instead of the design points.
 
     Each difference series is fitted once per (lag, bandwidth) at its design
     points, and each band scale computed once (lags 0 and 1 share one);
@@ -270,29 +314,11 @@ def estimate_lags(
     centers match the step-by-step functions to rounding, not bitwise.
     """
     lags = tuple(int(k) for k in lags)
-    # the scan returns an h above max(lags), so h_low is the smallest h
-    h_low = max(lags, default=0) + 1 if h is None else h
-    if not lags or min(lags) < 0 or max(lags) >= h_low:
-        raise ConfigurationError(f"every lag must be in [0, h={h_low})")
-    if not 1 <= h_low < y.n - 2:
-        raise ConfigurationError(f"h={h_low} out of range for n={y.n}")
-    if grid_points is not None and grid_points < 1:
-        raise ConfigurationError(f"grid_points must be >= 1, got {grid_points}")
-    if b_h is not None and 0 not in lags:
-        raise ConfigurationError("b_h is the lag-0 bandwidth, but lags has "
-                                 "no 0")
-    positive = sum(k > 0 for k in lags)
-    if b_k is not None and not positive:
-        raise ConfigurationError("b_k is the bandwidth of lags k > 0, but "
-                                 "lags has none")
-    if bandwidths is not None:
-        check_bandwidth_grid(bandwidths)
-    b_k = iter(_per_lag(b_k, positive, "b_k"))
-    m = _per_lag(m, len(lags), "m")
-    _check_block_width(m, y.n - h_low)
-    tau = _per_lag(tau, len(lags), "tau")
+    b_k, m, tau = _check_settings(y.n, h, lags, b_h, b_k, m, tau, bandwidths,
+                                  grid_points)
     h, b_h = _truncation_lag(y, h, lags, kernel, b_h, bandwidths)
     _check_block_width(m, y.n - h)
+    b_k = iter(b_k)
     b = [b_h if k == 0 else next(b_k) for k in lags]
 
     rho_h = difference(y, h).values

@@ -29,6 +29,7 @@ from .acov import (
     AcovEstimate,
     _band_scale,
     _check_block_width,
+    _check_settings,
     _interior,
     _lag_products,
     _naive_acov,
@@ -70,10 +71,10 @@ class StudyConfig:
     The fixed defaults were calibrated once on the benchmark designs.
 
     ``h`` fixes the truncation lag; ``h=None`` re-selects it per replication
-    with the lag scan. ``b_h``/``b_k`` fix the regression bandwidths;
-    ``None`` switches that bandwidth to per-replication cross-validation
-    over ``bandwidth_grid``; with h auto and the default grid, lag 0 takes
-    the scan's own choice for the lag-h series, as `estimate_lags` does.
+    with the lag scan of `estimate_lags`. ``b_h``/``b_k`` fix the regression
+    bandwidths; ``None`` switches that bandwidth to per-replication
+    cross-validation over ``bandwidth_grid``; with h auto, lag 0 takes the
+    scan's own choice for the lag-h series as `estimate_lags` does.
     ``m``/``tau`` fix the long-run covariance blocks; one left None comes
     from minimum volatility (the other stays fixed; ``min_volatility=True``
     needs one None) or its plain rule (ceil(n^(1/3)), 0.2).
@@ -85,12 +86,11 @@ class StudyConfig:
     ``share_bootstrap=False``.
 
     The checks on the working length run when a study starts, because they
-    depend on the estimator. `run_study` needs every positive lag below the
-    fixed h, that h (or with h auto the smallest usable max(lags) + 1)
-    below n - 2, and m <= (n - h) / 4 with h the fixed lag or else the
-    largest the lag scan can return (``h0``, default `default_start_lag`).
-    `run_naive_study` has no difference lag and ignores ``h``, ``h0`` and
-    ``threshold``; it needs max(lags) <= n - 2 and m <= (n - max(lags)) / 4.
+    depend on the estimator. `run_study` runs those of `estimate_lags` and
+    needs m <= (n - h) / 4 with h the fixed lag or else the largest the lag
+    scan can return, `default_start_lag`. `run_naive_study` has no
+    difference lag and ignores ``h``; it needs max(lags) <= n - 2 and
+    m <= (n - max(lags)) / 4.
     """
 
     model: str | tuple[MeanSpec, ErrorModel] = "model1"
@@ -101,8 +101,6 @@ class StudyConfig:
     draws: int = 2000
     seed: int = 0
     h: int | None = 3
-    h0: int | None = None
-    threshold: float = 3.0
     b_h: float | None = 0.2
     b_k: float | None = 0.2
     bandwidth_grid: np.ndarray | None = None
@@ -316,7 +314,7 @@ def _score(cfg: StudyConfig, store: _QuantileStore, rep: int,
 def _replicate_diff(cfg: StudyConfig, y: TimeSeries,
                     bandwidths: np.ndarray | None) -> tuple[int, list]:
     h, b_h = _truncation_lag(y, cfg.h, cfg.lags, cfg.kernel, cfg.b_h,
-                             bandwidths, cfg.h0, cfg.threshold)
+                             bandwidths)
     m, tau = _blocks(cfg, y.n - h)
     # each bandwidth goes only where a lag uses it
     fits = estimate_lags(y, h, cfg.lags, cfg.kernel,
@@ -353,21 +351,13 @@ def _check_lengths(cfg: StudyConfig, kind: str) -> None:
             raise ConfigurationError(f"lag {top} out of range for n={cfg.n}")
         n_work = cfg.n - top
     else:
-        if cfg.h is not None:
-            if cfg.h < 1:
-                raise ConfigurationError("h must be >= 1")
-            if 0 < top >= cfg.h:
-                raise ConfigurationError("every positive lag must be < h")
-        elif not cfg.threshold > 0:  # NaN included
-            raise ConfigurationError("threshold must be positive")
-        # the smallest h a replication can use must leave enough differences
-        h_low = cfg.h if cfg.h is not None else top + 1
-        if h_low >= cfg.n - 2:
-            raise ConfigurationError(f"h={h_low} out of range for n={cfg.n}")
+        # a replication's checks, each bandwidth where a lag uses it
+        _check_settings(cfg.n, cfg.h, cfg.lags,
+                        cfg.b_h if cfg.lags[0] == 0 else None,
+                        cfg.b_k if top > 0 else None, cfg.m, cfg.tau,
+                        cfg.bandwidth_grid, None)
         # the largest h a replication can use leaves the fewest blocks
-        h = cfg.h
-        if h is None:
-            h = max(cfg.h0 or default_start_lag(cfg.n), top + 1)
+        h = max(default_start_lag(cfg.n), top + 1) if cfg.h is None else cfg.h
         n_work = cfg.n - h
     if cfg.m is not None:
         _check_block_width([cfg.m], n_work)

@@ -22,7 +22,8 @@ from tvacov.kernels import epanechnikov
 from tvacov.locallinear import fit_curve, interior_grid
 from tvacov.lrv import lrv_curve, residuals, sigma_functionals
 from tvacov.procgen import MeanSpec, TimeSeries, generate, model_preset, true_gamma
-from tvacov.tuning import gcv_bandwidth, min_volatility
+from tvacov.scb import GUMBEL_MAX_BANDWIDTH, bandwidth_candidates
+from tvacov.tuning import default_bandwidth_grid, gcv_bandwidth, min_volatility
 
 KERN = epanechnikov()
 
@@ -277,3 +278,50 @@ def test_estimate_lags_checks_run_before_the_lag_scan(monkeypatch):
         kwargs = {"lags": (0, 1), **kwargs}
         with pytest.raises(ConfigurationError):
             estimate_lags(y, None, kernel=KERN, **kwargs)
+
+
+@pytest.mark.parametrize("kwargs", [dict(b_h=0.7), dict(b_k=0.6),
+                                    dict(tau=0.9), dict(b_h=np.nan)])
+def test_estimate_lags_range_checks_run_before_the_lag_scan(monkeypatch,
+                                                            kwargs):
+    def no_tuning(*args, **kwargs):
+        raise AssertionError("tuning ran")
+
+    monkeypatch.setattr(acov, "select_lag", no_tuning)
+    with pytest.raises(ConfigurationError, match=r"must be in \(0, 1/2\)"):
+        estimate_lags(make_series(), None, (0, 1), KERN, **kwargs)
+
+
+def lag_zero_fit(monkeypatch, bandwidths):
+    """The all-auto lag-0 fit of model1 at n = 400, seed 1, the series the
+    pipeline cross-validated and the lag-h series."""
+    y = make_series(seed=1)
+    with monkeypatch.context() as patch:
+        gcv = counting(patch, "gcv_bandwidth")
+        fit0, _ = estimate_lags(y, None, (0, 1), KERN, m=3, tau=0.2,
+                                bandwidths=bandwidths)
+    rho_h = difference(y, fit0.estimate.diff_lag).values
+    return fit0, [args[0] for args in gcv], rho_h
+
+
+def test_gumbel_candidates_take_lag_zero_bandwidth_from_the_scan(monkeypatch):
+    # the gumbel cut keeps every default value up to the scan's choice, so
+    # lag 0 scores its series no more often than under the bootstrap
+    boot, boot_scored, _ = lag_zero_fit(monkeypatch, None)
+    cut = bandwidth_candidates("gumbel", None, (None, None))
+    gumbel, gumbel_scored, _ = lag_zero_fit(monkeypatch, cut)
+    assert boot.b < GUMBEL_MAX_BANDWIDTH
+    assert gumbel.b == boot.b
+    assert len(gumbel_scored) == len(boot_scored) == 1  # lag 1 only
+
+
+def test_grid_without_a_value_below_the_scan_choice_scores_lag_h_again(
+        monkeypatch):
+    auto, _, _ = lag_zero_fit(monkeypatch, None)
+    grid = default_bandwidth_grid()
+    assert auto.b > grid[0]
+    fit0, scored, rho_h = lag_zero_fit(monkeypatch, grid[1:])
+    assert len(scored) == 2
+    assert_array_equal(scored[0], rho_h)
+    # the scan's choice minimizes over the larger grid, so here too
+    assert fit0.b == auto.b

@@ -651,6 +651,23 @@ def test_estimate_with_auto_h_checks_before_the_lag_scan(bad, tmp_path,
     assert main(argv + bad) == 2
 
 
+@pytest.mark.parametrize("bad, message", [
+    (["--b-h", "0.7"], "b_h must be in (0, 1/2), got [0.7]"),
+    (["--b-k", "0.6"], "b_k must be in (0, 1/2), got [0.6]"),
+    (["--tau", "0.9"], "tau must be in (0, 1/2), got [0.9]"),
+    (["--b-h", "nan"], "b_h must be in (0, 1/2), got [nan]"),
+    (["--m", "600"], "m must be in [1, 499] for working length 1998, "
+                     "got [600]"),
+], ids=["b_h", "b_k", "tau", "b_h-nan", "m"])
+def test_estimate_with_auto_h_checks_ranges_before_the_lag_scan(
+        bad, message, tmp_path, capsys, tripwires):
+    # a single fixed value is named once, not once per lag
+    argv = ["estimate", "--model", "model1", "--n", "2000", "--h", "auto",
+            "--lags", "0,1", "--out", str(tmp_path / "o")]
+    assert main(argv + bad) == 2
+    assert message in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("grid", ["0.6,0.7", "0.2,0.7,nan"])
 @pytest.mark.parametrize("command", ["estimate", "tune", "study"])
 def test_bandwidth_grid_outside_the_open_half_interval_exits_2(

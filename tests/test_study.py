@@ -202,10 +202,6 @@ def test_config_validation():
         with pytest.raises(ConfigurationError, match="h=48 out of range"):
             run_study(StudyConfig(n=50, **bad))
     _check_lengths(StudyConfig(n=50, h=47, m=None), "difference")
-    # the lag scan's threshold, when h is auto; NaN would fail every
-    # replication inside select_lag
-    with pytest.raises(ConfigurationError, match="threshold"):
-        run_study(StudyConfig(h=None, threshold=np.nan))
     # the limit formula needs b < 1/e, fixed or cross-validated
     with pytest.raises(ConfigurationError):
         StudyConfig(method="gumbel", b_h=0.4)
@@ -216,13 +212,11 @@ def test_config_validation():
 
 def test_config_block_width_bound():
     # m <= (n - h) // 4 for the fixed h, else for the top of the lag scan
-    # (default_start_lag(160) = 5, or h0)
+    # (default_start_lag(160) = 5)
     _check_lengths(StudyConfig(n=160, h=3, m=39), "difference")
     with pytest.raises(ConfigurationError, match=r"\[1, 38\]"):
         run_study(StudyConfig(n=160, h=None, m=39))
     _check_lengths(StudyConfig(n=160, h=None, m=38), "difference")
-    with pytest.raises(ConfigurationError, match=r"\[1, 37\]"):
-        run_study(StudyConfig(n=160, h=None, h0=10, m=38))
 
 
 def test_lags_deduplicated_and_sorted():
@@ -260,8 +254,8 @@ def test_naive_study_checks_lengths_without_a_difference_lag():
     for bad in (dict(lags=(0, 3), m=37), dict(lags=(0, 149), m=None)):
         with pytest.raises(ConfigurationError):
             run_naive_study(small_config(**bad))
-    # an unused h or threshold is not checked either
-    run_naive_study(small_config(replications=1, h=None, threshold=np.nan))
+    # an unused h is not checked either
+    run_naive_study(small_config(replications=1, h=None))
 
 
 def test_all_auto_study_takes_lag_zero_bandwidth_from_the_scan(monkeypatch):
