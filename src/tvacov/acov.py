@@ -214,25 +214,40 @@ def _per_lag(value, count: int, what: str) -> list:
     return list(values)
 
 
-def _check_values(values: Sequence, ok, rule: str) -> None:
+def _check_values(values, ok, rule: str) -> None:
     """Raise naming ``rule`` and each distinct value outside ``ok``."""
-    bad = [v for v in values if v is not None and not ok(v)]
+    bad = [v for v in np.atleast_1d(values) if v is not None and not ok(v)]
     if bad:
         raise ConfigurationError(f"{rule}, got {np.unique(bad).tolist()}")
 
 
 def _check_block_width(m: Sequence[int | None], n_work: int) -> None:
-    """Every fixed block half-width must lie in [1, n_work // 4]."""
+    """Every fixed m, >= 1 by `_check_ranges`, must be <= n_work // 4."""
     top = n_work // 4
-    _check_values(m, lambda v: 1 <= v <= top,
+    _check_values(m, lambda v: v <= top,
                   f"block half-width m must be in [1, {top}] for working "
                   f"length {n_work}")
 
 
-def _check_settings(n: int, h: int | None, lags: tuple[int, ...], b_h, b_k,
-                    m, tau, bandwidths, grid_points) -> tuple[list, list, list]:
+def _check_ranges(b_h, b_k, m, tau, bandwidths) -> None:
+    """The rules on fixed tuning values and the grid that need no length."""
+    for what, values in (("b_h", b_h), ("b_k", b_k), ("tau", tau)):
+        _check_values(values, lambda v: 0.0 < v < 0.5,  # NaN fails
+                      f"{what} must be in (0, 1/2)")
+    _check_values(m, lambda v: v >= 1, "m must be >= 1")
+    if bandwidths is not None:
+        check_bandwidth_grid(bandwidths)
+
+
+def _check_settings(n: int, h: int | None, lags: tuple[int, ...], b_h=None,
+                    b_k=None, m=None, tau=None, bandwidths=None,
+                    grid_points=None) -> tuple[list, list, list]:
     """The checks of `estimate_lags` that need no data, for a series of
-    length n; returns b_k per positive lag and m and tau per lag."""
+    length n: lags against h, h against n, ``grid_points``, which lags the
+    bandwidths go to, the per-lag counts, `_check_ranges`, and a fixed m
+    against the working length of the smallest h; with n, h and lags
+    alone, as a study passes them, only the first two. Returns b_k per
+    positive lag and m and tau per lag."""
     # the scan returns an h above max(lags), so h_low is the smallest h
     h_low = max(lags, default=0) + 1 if h is None else h
     if not lags or min(lags) < 0 or max(lags) >= h_low:
@@ -248,14 +263,10 @@ def _check_settings(n: int, h: int | None, lags: tuple[int, ...], b_h, b_k,
     if b_k is not None and not positive:
         raise ConfigurationError("b_k is the bandwidth of lags k > 0, but "
                                  "lags has none")
-    if bandwidths is not None:
-        check_bandwidth_grid(bandwidths)
     b_k = _per_lag(b_k, positive, "b_k")
     m = _per_lag(m, len(lags), "m")
     tau = _per_lag(tau, len(lags), "tau")
-    for what, values in (("b_h", [b_h]), ("b_k", b_k), ("tau", tau)):
-        _check_values(values, lambda v: 0.0 < v < 0.5,  # NaN fails
-                      f"{what} must be in (0, 1/2)")
+    _check_ranges(b_h, b_k, m, tau, bandwidths)
     _check_block_width(m, n - h_low)
     return b_k, m, tau
 

@@ -63,12 +63,13 @@ def ingest_csv(path: str | Path) -> TimeSeries:
     """Read a one- or two-column CSV into a TimeSeries.
 
     With two columns the first (index or date) is ignored and the second is
-    the value. A single header line is allowed. Any other non-numeric,
-    missing, or non-finite value is an error naming the offending line.
+    the value. A single header line and a UTF-8 byte-order mark are
+    allowed. Any other non-numeric, missing, or non-finite value is an
+    error naming the offending line.
     """
     path = Path(path)
     try:
-        text = path.read_text()
+        text = path.read_text(encoding="utf-8-sig")
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from None
     values: list[float] = []

@@ -114,8 +114,8 @@ def select_lag(
 
     For each design point t_i the scan walks k = h0 - 1 down to 1 and fires
     at the first k where |beta_k - beta_{k+1}| exceeds ``threshold`` times
-    the top-of-scan increment |beta_{h0} - beta_{h0-1}| (floored by a
-    machine-eps guard); the local choice is then k + 1, or 1 when nothing
+    the top-of-scan increment |beta_{h0} - beta_{h0-1}| (floored by machine
+    eps times |beta_{h0}|); the local choice is then k + 1, or 1 when nothing
     fires. The global h is the rounded average of the local choices.
 
     Parameters
@@ -164,8 +164,8 @@ def select_lag(
     local = np.ones(n, dtype=int)
     if math.isfinite(threshold) and h0 >= 2:
         steps = np.abs(np.diff(profile, axis=0))  # row k-1: |beta_{k+1}-beta_k|
-        scale = np.maximum(1.0, np.abs(profile[h0 - 1]))
-        ref = np.maximum(steps[h0 - 2], np.finfo(float).eps * scale)
+        ref = np.maximum(steps[h0 - 2],
+                         np.finfo(float).eps * np.abs(profile[h0 - 1]))
         fired = steps > threshold * ref[None, :]
         hit = fired.any(axis=0)
         # walking k = h0-1 .. 1, the first hit is the largest firing k

@@ -18,7 +18,6 @@ from __future__ import annotations
 import dataclasses
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from threading import Lock
 from typing import Any
@@ -29,6 +28,7 @@ from .acov import (
     AcovEstimate,
     _band_scale,
     _check_block_width,
+    _check_ranges,
     _check_settings,
     _interior,
     _lag_products,
@@ -57,7 +57,7 @@ def _child_seed(root: int, *key: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-@dataclass
+@dataclass(frozen=True)
 class StudyConfig:
     """Settings for one coverage study.
 
@@ -68,7 +68,9 @@ class StudyConfig:
     On model1 at n = 400 (0.94 / 0.97 at lags 0 / 1 with these defaults)
     re-selected blocks cost 5-21 points of coverage and a cross-validated
     bandwidth 31-71; see the data-driven coverage table in ROADMAP.md.
-    The fixed defaults were calibrated once on the benchmark designs.
+    The fixed defaults were calibrated once, at n = 400; on model1 at
+    n = 2000 they cover only 0.75 / 0.90, as the smoothing bias grows
+    relative to the narrower band.
 
     ``h`` fixes the truncation lag; ``h=None`` re-selects it per replication
     with the lag scan of `estimate_lags`. ``b_h``/``b_k`` fix the regression
@@ -79,8 +81,9 @@ class StudyConfig:
     from minimum volatility (the other stays fixed; ``min_volatility=True``
     needs one None) or its plain rule (ceil(n^(1/3)), 0.2).
     Fixed bandwidths, bandwidth_grid values and tau lie in (0, 1/2) and
-    m >= 1; gumbel needs b < 1/e, bootstrap at least 1000 draws
-    (`check_band_settings`).
+    m >= 1, checked by `acov._check_ranges`, as in `estimate_lags`, when
+    the config is built; it is frozen, so they stay checked. Gumbel needs
+    b < 1/e, bootstrap at least 1000 draws (`check_band_settings`).
     ``quantile_inflation`` scales the bootstrap critical value, for
     sensitivity checks only; gumbel takes neither it nor
     ``share_bootstrap=False``.
@@ -122,14 +125,10 @@ class StudyConfig:
         lags = tuple(sorted(set(int(k) for k in self.lags)))
         if not lags or any(k < 0 for k in lags):
             raise ConfigurationError("lags must be nonnegative integers")
-        self.lags = lags
+        object.__setattr__(self, "lags", lags)
         check_band_settings(self.method, self.alpha, self.draws)
-        for name in ("b_h", "b_k", "tau"):
-            v = getattr(self, name)
-            if v is not None and not 0.0 < v < 0.5:
-                raise ConfigurationError(f"{name} must be in (0, 1/2), got {v!r}")
-        if self.m is not None and self.m < 1:
-            raise ConfigurationError(f"m must be >= 1, got {self.m!r}")
+        _check_ranges(self.b_h, self.b_k, self.m, self.tau,
+                      self.bandwidth_grid)
         if self.min_volatility and self.m is not None and self.tau is not None:
             raise ConfigurationError(
                 "min_volatility selects m or tau, but both are fixed"
@@ -351,11 +350,7 @@ def _check_lengths(cfg: StudyConfig, kind: str) -> None:
             raise ConfigurationError(f"lag {top} out of range for n={cfg.n}")
         n_work = cfg.n - top
     else:
-        # a replication's checks, each bandwidth where a lag uses it
-        _check_settings(cfg.n, cfg.h, cfg.lags,
-                        cfg.b_h if cfg.lags[0] == 0 else None,
-                        cfg.b_k if top > 0 else None, cfg.m, cfg.tau,
-                        cfg.bandwidth_grid, None)
+        _check_settings(cfg.n, cfg.h, cfg.lags)  # ranges: at construction
         # the largest h a replication can use leaves the fewest blocks
         h = max(default_start_lag(cfg.n), top + 1) if cfg.h is None else cfg.h
         n_work = cfg.n - h
@@ -385,6 +380,8 @@ def _run(cfg: StudyConfig, kind: str) -> StudyReport:
     if cfg.threads == 1:
         raw = [worker(rep) for rep in range(R)]
     else:
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
             raw = list(pool.map(worker, range(R)))
     elapsed = time.perf_counter() - t0

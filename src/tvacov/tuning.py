@@ -36,8 +36,9 @@ __all__ = [
     "select_pair_from_curves",
 ]
 
-# Scores within this relative margin of the minimum count as tied; ties go
-# to the largest bandwidth (noise-free data then picks the top of the grid).
+# Scores within this margin, relative to the minimum or the mean square of the
+# series if larger, count as tied; ties go to the largest bandwidth, so
+# noise-free data picks the top of the grid at any scale.
 _TIE_EPS = 1e-12
 
 
@@ -117,7 +118,7 @@ def gcv_bandwidth(
     if not np.any(finite):
         raise TuningError("every bandwidth candidate failed")
     smin = float(np.min(scores[finite]))
-    tied = scores <= smin + _TIE_EPS * max(1.0, smin)
+    tied = scores <= smin + _TIE_EPS * max(smin, np.mean(series * series))
     chosen = float(np.max(bandwidths[tied]))
     return GcvResult(bandwidth=chosen, bandwidths=bandwidths, scores=scores)
 

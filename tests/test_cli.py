@@ -1,14 +1,23 @@
 """Command-line interface: ingestion, outputs, manifests, exit codes."""
 
 import math
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import tvacov
 from tvacov import acov, cli, tuning
 from tvacov import study as study_module
 from tvacov.cli import ingest_csv, main
-from tvacov.errors import ParseError
+from tvacov.errors import ConfigurationError, ParseError
+from tvacov.kernels import epanechnikov
+from tvacov.procgen import generate, model_preset
+from tvacov.study import StudyConfig
 
 
 def write_csv(path, values, header=None, index=False):
@@ -679,3 +688,49 @@ def test_bandwidth_grid_outside_the_open_half_interval_exits_2(
     assert main(argv) == 2
     assert "must be in (0, 1/2)" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+# ---------------------------------------------------------------------------
+# one rule, one message; a byte-order mark; what importing the CLI loads
+
+@pytest.mark.parametrize("header", [None, "value"])
+def test_ingest_drops_a_utf8_byte_order_mark(header, tmp_path):
+    # the mark is no header: a headerless file keeps its first row
+    vals = np.random.default_rng(2).normal(size=120)
+    p = write_csv(tmp_path / "bom.csv", vals, header=header)
+    p.write_bytes(b"\xef\xbb\xbf" + p.read_bytes())
+    np.testing.assert_array_equal(ingest_csv(p).values, vals)
+    argv = ["estimate", "--input", str(p), "--n", "120", "--lags", "0",
+            "--h", "3", "--b-h", "0.2", "--m", "3", "--tau", "0.2",
+            "--draws", "1000", "--out", str(tmp_path / "o")]
+    assert main(argv) == 0
+
+
+@pytest.mark.parametrize("key, value", [("b_h", 0.7), ("b_k", 0.6),
+                                        ("tau", 0.9), ("b_h", math.nan)])
+def test_range_rules_read_the_same_in_every_command(key, value, tmp_path,
+                                                    capsys, tripwires):
+    message = f"{key} must be in (0, 1/2), got [{value}]"
+    mean, model = model_preset("model1")
+    y = generate(mean, model, 200, seed=1)
+    with pytest.raises(ConfigurationError, match=re.escape(message)):
+        acov.estimate_lags(y, 3, (0, 1), epanechnikov(), **{key: value})
+    with pytest.raises(ConfigurationError, match=re.escape(message)):
+        StudyConfig(**{key: value})
+    for command in ("study", "naive-study"):
+        argv = REPLAYED[command] + [cli._flag(key), str(value),
+                                    "--out", str(tmp_path / "o")]
+        assert main(argv) == 2
+        assert message in capsys.readouterr().err
+
+
+def test_importing_the_cli_loads_only_stdlib_numpy_and_tvacov():
+    code = ("import sys; before = set(sys.modules); import tvacov.cli; "
+            "print(*sorted(set(sys.modules) - before))")
+    src = str(Path(tvacov.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    loaded = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                            capture_output=True, text=True).stdout.split()
+    outside = {name.split(".")[0] for name in loaded} - {"numpy", "tvacov"}
+    assert outside <= set(sys.stdlib_module_names), outside
+    assert "concurrent.futures" not in loaded  # only a threaded run needs it

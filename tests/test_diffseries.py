@@ -16,6 +16,7 @@ from tvacov.errors import ConfigurationError, InvalidLagError
 from tvacov.kernels import epanechnikov
 from tvacov.locallinear import fit_curve
 from tvacov.procgen import MeanSpec, TimeSeries, generate, model_preset
+from tvacov.tuning import gcv_bandwidth
 
 
 def series(values):
@@ -182,3 +183,20 @@ def test_select_lag_profile_matches_direct_fits():
     assert r.local.shape == (y.n,)
     assert r.local.min() >= 1 and r.local.max() <= 3
 
+
+
+def test_lag_scan_and_gcv_choices_do_not_depend_on_the_scale_of_y():
+    # a power of two scales every difference level and GCV score exactly,
+    # so only an absolute margin could tell the scaled series apart
+    mean, model = model_preset("model1")
+    y = generate(mean, model, 400, seed=1)
+    base = select_lag(y)
+    rho = difference(y, 3).values
+    b = gcv_bandwidth(rho).bandwidth
+    for power in (-60, -30, 30, 60):
+        c = 2.0**power
+        scaled = select_lag(series(y.values * c))
+        assert scaled.h == base.h
+        assert_array_equal(scaled.local, base.local)
+        assert scaled.bandwidths == base.bandwidths
+        assert gcv_bandwidth(rho * (c * c)).bandwidth == b

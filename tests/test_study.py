@@ -1,5 +1,7 @@
 """Coverage-study harness: reproducibility, aggregation, failure policy."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
@@ -277,3 +279,14 @@ def test_all_auto_study_takes_lag_zero_bandwidth_from_the_scan(monkeypatch):
                        tau=None)
     assert run_study(cfg).n_success == 1
     assert len(calls) == default_start_lag(cfg.n) + 1
+
+
+def test_config_is_checked_once_and_then_frozen():
+    # the ranges are checked only when the config is built, so a value set
+    # afterwards would reach every replication unchecked
+    cfg = small_config()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.b_h = 0.7
+    assert dataclasses.replace(cfg, seed=6).seed == 6
+    with pytest.raises(ConfigurationError, match=r"got \[0\.7\]"):
+        dataclasses.replace(cfg, b_h=0.7)

@@ -319,3 +319,11 @@ def test_min_volatility_matches_per_pair_curves(pair, grids):
     assert_allclose(got.ise[finite], want.ise[finite], rtol=1e-12, atol=0)
     if grids == "out_of_range":
         assert np.isinf(want.ise).any() and finite.any()
+
+
+@pytest.mark.parametrize("power", [-60, -30, 0, 30, 60])
+def test_gcv_noise_free_series_pick_largest_bandwidth_at_any_scale(power):
+    t = np.arange(1, 81) / 80
+    c = 2.0**power
+    for v in (c * (1.5 - 0.75 * t), np.full(80, c), np.zeros(80)):
+        assert gcv_bandwidth(v).bandwidth == 0.45
