@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .diffseries import difference, select_lag
-from .errors import ConfigurationError, InvalidLagError
+from .errors import ConfigurationError, InvalidLagError, _check_values
 from .kernels import Kernel
 from .locallinear import CurveOnGrid, fit_curve, interior_grid, unit_grid
 from .lrv import (
@@ -212,13 +212,6 @@ def _per_lag(value, count: int, what: str) -> list:
         want = "one value" if count == 1 else f"one value or {count}"
         raise ConfigurationError(f"{what} takes {want}, got {len(values)}")
     return list(values)
-
-
-def _check_values(values, ok, rule: str) -> None:
-    """Raise naming ``rule`` and each distinct value outside ``ok``."""
-    bad = [v for v in np.atleast_1d(values) if v is not None and not ok(v)]
-    if bad:
-        raise ConfigurationError(f"{rule}, got {np.unique(bad).tolist()}")
 
 
 def _check_block_width(m: Sequence[int | None], n_work: int) -> None:

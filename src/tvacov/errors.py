@@ -6,6 +6,8 @@ to, so library failures and CLI failures stay in sync.
 
 from __future__ import annotations
 
+import numpy as np
+
 __all__ = [
     "TvacovError",
     "ConfigurationError",
@@ -29,6 +31,13 @@ class ConfigurationError(TvacovError):
     """A parameter or parameter combination is invalid."""
 
     exit_code = 2
+
+
+def _check_values(values, ok, rule: str) -> None:
+    """Raise naming ``rule`` and each distinct value outside ``ok``."""
+    bad = [v for v in np.atleast_1d(values) if v is not None and not ok(v)]
+    if bad:
+        raise ConfigurationError(f"{rule}, got {np.unique(bad).tolist()}")
 
 
 class InvalidLagError(ConfigurationError):

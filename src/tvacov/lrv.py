@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, SingularDesignError
+from .errors import ConfigurationError, SingularDesignError, _check_values
 from .kernels import Kernel
 from .locallinear import CurveOnGrid, _chunk_rows, _kernel_rows, fit_curve
 from .diffseries import difference
@@ -214,11 +214,11 @@ def lrv_curve(
     grid : ndarray, optional
     """
     n = res.n
-    if not 1 <= m <= n // 4:
-        raise ConfigurationError(f"block half-width m must be in [1, {n // 4}]")
+    _check_values(m, lambda v: 1 <= v <= n // 4,
+                  f"block half-width m must be in [1, {n // 4}]")
+    _check_values(tau, lambda v: 0.0 < v < 0.5,  # NaN fails
+                  "tau must be in (0, 1/2)")
     tau = float(tau)
-    if not 0.0 < tau < 0.5:
-        raise ConfigurationError("tau must be in (0, 1/2)")
     t_data = res.grid
     if grid is None:
         grid = t_data[(t_data >= tau) & (t_data <= 1.0 - tau)]

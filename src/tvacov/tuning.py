@@ -5,11 +5,14 @@ bandwidth by minimizing
 
     GCV(b) = n^-1 sum_i (v_i - vhat_i(b))^2 / (1 - trace(H(b))/n)^2
 
-over a candidate grid (default 0.15..0.45 in steps of 0.01). The block
-parameters (m, tau) of the long-run covariance are picked by extended
-minimum volatility: every interior grid pair is scored by the integrated
-sample dispersion of the nine curves in its cross-shaped neighborhood, and
-the most stable pair wins. Each span is smoothed once, for every block width.
+over a candidate grid (default 0.15..0.45 in steps of 0.01). The fit and
+the trace at the design points come from `locallinear._design_fit`, five
+sliding correlations at O(n * n b) per candidate, which match the dense
+`fit_at_data` to about 1e-14. The block parameters (m, tau) of the
+long-run covariance are picked by extended minimum volatility: every
+interior grid pair is scored by the integrated sample dispersion of the
+nine curves in its cross-shaped neighborhood, and the most stable pair
+wins. Each span is smoothed once, for every block width.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ import numpy as np
 
 from .errors import ConfigurationError, SingularDesignError, TuningError
 from .kernels import Kernel, epanechnikov
-from .locallinear import fit_at_data
+from .locallinear import _design_fit
 from .lrv import LongRunCovCurve, ResidualPair, _smoothed_blocks
 
 __all__ = [
@@ -106,7 +109,7 @@ def gcv_bandwidth(
     scores = np.full(bandwidths.size, np.inf)
     for j, b in enumerate(bandwidths):
         try:
-            fitted, trace = fit_at_data(series, float(b), kernel)
+            fitted, trace = _design_fit(series, float(b), kernel)
         except SingularDesignError:
             continue
         if trace >= n:

@@ -17,6 +17,7 @@ from tvacov.errors import ConfigurationError, SingularDesignError
 from tvacov.kernels import epanechnikov
 from tvacov.locallinear import (
     CurveOnGrid,
+    _design_fit,
     fit_at_data,
     fit_curve,
     hat_trace,
@@ -159,6 +160,49 @@ def test_hat_trace_matches_explicit_hat_matrix():
         fitted, trace = fit_at_data(vals, b, KERN)
         assert_allclose(fitted, H @ vals, atol=1e-12)
         assert abs(trace - np.trace(H)) < 1e-10
+
+
+def _assert_design_fit_matches(vals, b):
+    try:
+        fitted, trace = fit_at_data(vals, b, KERN)
+    except SingularDesignError:
+        with pytest.raises(SingularDesignError):
+            _design_fit(vals, b, KERN)
+        return
+    got, got_trace = _design_fit(vals, b, KERN)
+    assert np.max(np.abs(got - fitted)) <= 1e-13 * np.max(np.abs(fitted))
+    assert abs(got_trace - trace) <= 1e-13 * trace
+
+
+def test_design_fit_matches_fit_at_data():
+    # the sliding correlations are the dense rows summed in another order;
+    # cases include n b an integer, where the window edge |d| = n b carries
+    # kernel value 0, windows too small for a line at n = 60 and b = 0.03,
+    # and the one-sided windows near t = 0 and t = 1
+    rng = np.random.default_rng(8)
+    cases = [(n, b) for n in (60, 61, 100, 400, 797, 2000)
+             for b in np.round(np.linspace(0.03, 0.45, 8), 10)]
+    cases += [(100, 0.2), (800, 0.2), (2000, 0.45)]
+    for n, b in cases:
+        t = unit_grid(n)
+        vals = np.sin(5 * t) + (t > 0.4) + rng.normal(0, 0.5, n)
+        _assert_design_fit_matches(vals, float(b))
+    # one-sided end windows alone: the fit at the first and last point
+    # against the brute-force WLS solve
+    vals = rng.normal(size=120)
+    got, _ = _design_fit(vals, 0.2, KERN)
+    for i in (0, 119):
+        beta = brute_force_fit(vals, unit_grid(120)[i], 0.2, KERN)
+        assert abs(got[i] - beta[0]) < 1e-10
+
+
+def test_design_fit_raises_where_fit_at_data_does():
+    vals = np.random.default_rng(9).normal(size=10)
+    for run in (fit_at_data, _design_fit):
+        with pytest.raises(SingularDesignError, match="engages 1 points"):
+            run(vals, 0.01, KERN)
+    with pytest.raises(ConfigurationError):
+        _design_fit(vals, 0.5, KERN)
 
 
 def _chunked_outputs(vals, grid, b):

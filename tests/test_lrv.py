@@ -110,6 +110,15 @@ def test_parameter_validation():
         ResidualPair(eps=np.ones((5, 2)), lags=(1, 3))
 
 
+@pytest.mark.parametrize("m, tau, text", [
+    (0, 0.2, r"block half-width m must be in \[1, 10\], got \[0\]"),
+    (2, 0.7, r"tau must be in \(0, 1/2\), got \[0.7\]"),
+])
+def test_parameter_errors_name_the_rejected_value(m, tau, text):
+    with pytest.raises(ConfigurationError, match=text):
+        lrv_curve(pair_from(np.ones(40)), m, tau, KERN)
+
+
 def test_explicit_empty_grid_is_a_configuration_error():
     rng = np.random.default_rng(4)
     pair = pair_from(rng.normal(size=200), rng.normal(size=200))

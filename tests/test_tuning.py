@@ -6,6 +6,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from tvacov.errors import ConfigurationError, SingularDesignError, TuningError
 from tvacov.kernels import epanechnikov
+from tvacov.diffseries import difference
 from tvacov.locallinear import fit_at_data
 from tvacov.lrv import ResidualPair, lrv_curve, residuals
 from tvacov.procgen import generate, model_preset
@@ -88,6 +89,33 @@ def test_gcv_all_candidates_fail():
     v = rng.normal(size=10)
     with pytest.raises(TuningError):
         gcv_bandwidth(v, np.array([0.01]))
+
+
+@pytest.mark.parametrize("model, seed", [("model1", 1), ("model3", 2)])
+def test_gcv_matches_the_dense_fit_on_model_series(model, seed):
+    # GCV fits by sliding correlations; the dense fit_at_data formula must
+    # give the same scores and the same choice on the series GCV sees
+    y = generate(*model_preset(model), 800, seed)
+    for v in (y.values, difference(y, 3).values):
+        res = gcv_bandwidth(v)
+        n = v.size
+        want = np.empty(res.bandwidths.size)
+        for j, b in enumerate(res.bandwidths):
+            fitted, trace = fit_at_data(v, float(b), KERN)
+            r = v - fitted
+            want[j] = np.mean(r * r) / (1.0 - trace / n) ** 2
+        assert_allclose(res.scores, want, rtol=1e-12)
+        assert res.bandwidth == np.max(res.bandwidths[want == want.min()])
+
+
+def test_gcv_needs_four_points_in_every_window():
+    # at n = 68, b = 3/68 the end windows hold 3 points; the dense rows
+    # round t_i - t_j and give the point at |i - j| = 3 a kernel value of
+    # about 1e-16, GCV counts only the 3 and scores the candidate inf
+    v = np.random.default_rng(6).normal(size=68)
+    res = gcv_bandwidth(v, np.array([3 / 68, 0.3]))
+    assert res.scores[0] == np.inf
+    assert np.isfinite(res.scores[1]) and res.bandwidth == 0.3
 
 
 def test_gcv_validation():
