@@ -17,10 +17,11 @@ One window function, `_window`, holds all of that arithmetic for a chunk of
 evaluation points; every public smoother is a loop over chunks of at most
 `_CHUNK_BUDGET` (chunk x n) cells, each freed before the next is built, and
 `lrv.lrv_curve` takes its Nadaraya-Watson rows from the same `_kernel_rows`.
-Cross-validation alone fits through `_design_fit`: at the design points i/n
-every window holds one kernel vector, so the moments are sliding
-correlations, O(n * n b) per bandwidth, that match `fit_at_data` to about
-1e-14.
+Every fit of a series at its own design points i/n (cross-validation, the
+difference-series levels and residuals, the naive study's product fits) goes
+through `_design_fit`: there every window holds one kernel vector, so the
+moments are sliding correlations, O(n * n b) per bandwidth, that match
+`fit_at_data` to about 1e-14. Fits on any other grid stay dense.
 """
 
 from __future__ import annotations
@@ -46,8 +47,11 @@ __all__ = [
 
 # Below this, S0 S2 - S1^2 is treated as a degenerate window.
 _DEN_FLOOR = 1e-14
-# A window engaging fewer kernel-positive points cannot support a line fit.
+# A window of fewer engaged points cannot support a line fit.
 _MIN_POINTS = 4
+# A point engages only if its kernel value exceeds this fraction of K(0):
+# rounding of t_i - t can leave a point at |t_i - t| = b with K ~ 1e-16.
+_ENGAGED_FLOOR = 1e-12
 
 # Cap on the rows of the (chunk x n) temporaries, keeps memory ~tens of MB.
 _CHUNK_BUDGET = 4_000_000
@@ -150,10 +154,12 @@ def _window(
     KV (S0 D - S1) / den when ``with_slope``. Each moment is summed once,
     and every row array is built in place (the level rows in D's buffer),
     so the chunk never holds more than three (chunk x n) arrays. Raises if
-    any window is degenerate.
+    any window is degenerate; a point engages only if its kernel value
+    exceeds `_ENGAGED_FLOOR` K(0), as in `_design_fit`.
     """
     KV, D = _kernel_rows(t_eval, n, b, kernel)
-    engaged = np.count_nonzero(KV, axis=1)
+    floor = _ENGAGED_FLOOR * kernel(np.zeros(1))[0]
+    engaged = np.count_nonzero(KV > floor, axis=1)
     if np.any(engaged < _MIN_POINTS):
         g = int(np.argmax(engaged < _MIN_POINTS))
         raise SingularDesignError(
@@ -189,15 +195,16 @@ def _window(
 def _design_fit(
     values: np.ndarray, b: float, kernel: Kernel
 ) -> tuple[np.ndarray, float]:
-    """`fit_at_data` by sliding correlations, for cross-validation.
+    """`fit_at_data` by sliding correlations, for every fit of a series at
+    its own design points.
 
     At the design points every window holds the same kernel vector
     k(d) = K((d/n)/b), d = -L..L with L = floor(n b) + 1, cut off at the
     ends of 1..n. With the series and a vector of ones padded by L zeros,
     the moments S_q = sum_d k(d) (d/n)^q and T_r = sum_d k(d) (d/n)^r v_{i+d}
     are five correlations, O(n L) in all. Agrees with `fit_at_data` to
-    about 1e-14; a window of fewer than 4 kernel-positive points or a
-    singular one raises as in `_window`.
+    about 1e-14; a window of fewer than 4 engaged points or a singular one
+    raises as in `_window`.
     """
     values = np.asarray(values, dtype=float)
     b = _check_bandwidth(b)
@@ -209,7 +216,8 @@ def _design_fit(
     ones[L : L + n] = 1.0
     padded[L : L + n] = values
 
-    engaged = np.correlate(ones, (k > 0).astype(float), "valid")
+    engaged = np.correlate(ones, (k > _ENGAGED_FLOOR * k[L]).astype(float),
+                           "valid")
     if np.any(engaged < _MIN_POINTS):
         i = int(np.argmax(engaged < _MIN_POINTS))
         raise SingularDesignError(

@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import ConfigurationError, SingularDesignError, _check_values
 from .kernels import Kernel
-from .locallinear import CurveOnGrid, _chunk_rows, _kernel_rows, fit_curve
+from .locallinear import CurveOnGrid, _chunk_rows, _design_fit, _kernel_rows
 from .diffseries import difference
 from .procgen import TimeSeries
 
@@ -108,11 +108,12 @@ def _fitted_difference(
     y: TimeSeries, lag: int, b: float, kernel: Kernel, fits: dict
 ) -> tuple[np.ndarray, np.ndarray]:
     """The squared lag differences and their local-linear fit at their own
-    design points, computed once per (lag, b) and kept in ``fits``."""
+    design points, by the sliding correlations of `_design_fit`, computed
+    once per (lag, b) and kept in ``fits``."""
     key = (lag, float(b))
     if key not in fits:
         rho = difference(y, lag)
-        fitted = fit_curve(rho.values, b, kernel, grid=rho.grid).values
+        fitted = _design_fit(rho.values, b, kernel)[0]
         fits[key] = (rho.values, fitted)
     return fits[key]
 

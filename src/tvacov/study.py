@@ -39,7 +39,7 @@ from .acov import (
 from .diffseries import default_start_lag
 from .errors import ConfigurationError, NumericError, TvacovError
 from .kernels import Kernel, epanechnikov
-from .locallinear import CurveOnGrid, fit_at_data
+from .locallinear import CurveOnGrid, _design_fit
 from .lrv import ResidualPair
 from .procgen import ErrorModel, MeanSpec, TimeSeries, generate, model_preset, true_gamma
 from .scb import BootstrapQuantile, bandwidth_candidates, bootstrap_quantile, build_band, check_band_settings, coverage_check
@@ -329,7 +329,7 @@ def _replicate_naive(cfg: StudyConfig, y: TimeSeries,
                                      cfg.b_k, bandwidths)
     fitted = []
     for lag, (prods, b_var) in zip(cfg.lags, products):
-        level, _ = fit_at_data(prods, b_var, cfg.kernel)
+        level, _ = _design_fit(prods, b_var, cfg.kernel)
         est = _naive_acov(lag, _interior(level, b_var), b_var, b_mean,
                           prods.size)
         eps = prods - level

@@ -135,6 +135,40 @@ def test_estimate_lags_matches_step_by_step():
                             rtol=1e-12)
 
 
+def assert_close_to_sup(got, want, rel=1e-12):
+    assert np.max(np.abs(got - want)) <= rel * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("n, h, b", [
+    (403, 3, 0.2),    # n b = 80 on the working grid
+    (104, 4, 0.031),  # 3.1 points per half-window: 4 in the end windows
+    (302, 2, 0.45),   # one-sided windows over most of the series
+])
+def test_estimate_lags_fits_match_the_dense_smoother(n, h, b, monkeypatch):
+    # the fits at the design points (sliding correlations) agree with the
+    # dense fit_curve rows to rounding: the lag-0 level on [b, 1-b] and the
+    # residual pair at every design point, one-sided end windows included
+    pairs = []
+
+    def record(pair, *args):
+        pairs.append(pair)
+        return band_scale(pair, *args)
+
+    band_scale = acov._band_scale
+    monkeypatch.setattr(acov, "_band_scale", record)
+    y = make_series(n=n, seed=n)
+    [fit] = estimate_lags(y, h, (0,), KERN, b_h=b, m=3, tau=0.2)
+    rho_h, rho_1 = difference(y, h), difference(y, 1)
+    level = fit_curve(rho_h.values, b, KERN, grid=interior_grid(n - h, b))
+    assert_array_equal(fit.estimate.curve.grid, level.grid)
+    assert_close_to_sup(fit.estimate.curve.values, 0.5 * level.values)
+    [pair] = pairs
+    for col, rho in ((0, rho_h), (1, rho_1)):
+        dense = fit_curve(rho.values, b, KERN, grid=rho.grid).values
+        eps = (rho.values - dense)[: n - h]
+        assert_close_to_sup(pair.eps[:, col], eps)
+
+
 def test_estimate_lags_data_driven_tuning():
     y = make_series(n=400, seed=7)
     h = 3

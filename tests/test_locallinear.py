@@ -205,6 +205,35 @@ def test_design_fit_raises_where_fit_at_data_does():
         _design_fit(vals, 0.5, KERN)
 
 
+def _rejection(run, vals, b):
+    try:
+        run(vals, b, KERN)
+    except SingularDesignError as err:
+        return str(err)
+    return None
+
+
+def test_dense_and_design_fits_reject_the_same_windows():
+    # at b = k/n the edge point |t_i - t| = b may carry a rounding ghost
+    # K ~ 1e-16 in the dense rows; it must not count as engaged, so a
+    # one-sided end window of 3 real points fails on both paths
+    cases = [(n, k / n) for n in range(8, 401, 7) for k in range(2, 7)
+             if k / n < 0.5]
+    cases += [(10, 0.2), (68, 3 / 68), (225, 3 / 225), (239, 3 / 239)]
+    rejected = 0
+    for n, b in cases:
+        vals = np.random.default_rng(n).normal(size=n)
+        dense = _rejection(fit_at_data, vals, b)
+        design = _rejection(_design_fit, vals, b)
+        assert (dense is None) == (design is None), (n, b, dense, design)
+        if dense is not None and "engages" in dense:
+            assert dense == design
+        rejected += dense is not None
+    assert 0 < rejected < len(cases)
+    with pytest.raises(SingularDesignError, match="engages 2 points"):
+        fit_at_data(np.ones(10), 0.2, KERN)
+
+
 def _chunked_outputs(vals, grid, b):
     res = ResidualPair(eps=np.column_stack([vals, vals[::-1]]), lags=(3, 1))
     fitted, trace = fit_at_data(vals, b, KERN)

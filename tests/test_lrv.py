@@ -11,7 +11,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from tvacov.errors import ConfigurationError
 from tvacov.kernels import epanechnikov
-from tvacov.locallinear import fit_curve
+from tvacov.locallinear import _design_fit, fit_curve
 from tvacov.lrv import (
     LongRunCovCurve,
     ResidualPair,
@@ -164,14 +164,18 @@ def test_residuals_definition_and_truncation():
     res = residuals(y, 1, 3, 0.25, KERN)
     assert res.eps.shape == (117, 2)
     assert res.lags == (3, 1)
-    rho3 = difference(y, 3)
-    eps_h = rho3.values - fit_curve(rho3.values, 0.25, KERN,
-                                    grid=rho3.grid).values
-    rho1 = difference(y, 1)
-    eps_k = (rho1.values - fit_curve(rho1.values, 0.25, KERN,
-                                     grid=rho1.grid).values)[:117]
+    rho3, rho1 = difference(y, 3), difference(y, 1)
+    eps_h = rho3.values - _design_fit(rho3.values, 0.25, KERN)[0]
+    eps_k = (rho1.values - _design_fit(rho1.values, 0.25, KERN)[0])[:117]
     assert_array_equal(res.eps[:, 0], eps_h)
     assert_array_equal(res.eps[:, 1], eps_k)
+    # the sliding correlations agree with the dense fit to rounding
+    for col, rho in ((0, rho3), (1, rho1)):
+        dense = rho.values - fit_curve(rho.values, 0.25, KERN,
+                                       grid=rho.grid).values
+        dense = dense[:117]
+        gap = np.max(np.abs(res.eps[:, col] - dense))
+        assert gap <= 1e-12 * np.max(np.abs(dense))
 
 
 def test_residuals_equal_lags_duplicate_columns():

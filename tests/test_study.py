@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from tvacov import acov, tuning
+from tvacov import acov, study, tuning
 from tvacov.acov import naive_estimate
 from tvacov.diffseries import default_start_lag
 from tvacov.errors import ConfigurationError, NumericError
@@ -120,6 +120,39 @@ def test_naive_replication_matches_step_by_step():
             lrv_curve(pair, 3, 0.2, kern, grid=ref.curve.grid)).sigma_h
         assert_allclose(sigma.values, ref_sigma.values, rtol=1e-12)
         assert (m, tau) == (3, 0.2)
+
+
+@pytest.mark.parametrize("n, b_var", [
+    (301, 0.2),    # n b = 60 for the lag-1 products
+    (104, 0.031),  # 4 points in the end windows at lag 0
+    (302, 0.45),   # one-sided windows over most of the series
+])
+def test_naive_replication_level_matches_the_dense_fit(n, b_var, monkeypatch):
+    # the product fit at the design points (sliding correlations) agrees
+    # with fit_at_data to rounding, in the estimate and in the residuals
+    pairs = []
+
+    def record(pair, *args):
+        pairs.append(pair)
+        return band_scale(pair, *args)
+
+    band_scale = study._band_scale
+    monkeypatch.setattr(study, "_band_scale", record)
+    kern = epanechnikov()
+    cfg = small_config(n=n, b_h=0.2, b_k=b_var, m=3, tau=0.2)
+    mean, err = model_preset("model1")
+    y = generate(mean, err, n, n)
+    _, fitted = _replicate_naive(cfg, y, None)
+    resid = y.values - fit_curve(y.values, 0.2, kern, grid=y.grid).values
+    assert len(pairs) == 2
+    for lag, (est, *_), pair in zip((0, 1), fitted, pairs):
+        prods = resid * resid if lag == 0 else resid[lag:] * resid[:-lag]
+        level = fit_at_data(prods, b_var, kern)[0]
+        t = np.arange(1, prods.size + 1) / prods.size
+        inside = level[(t >= b_var) & (t <= 1.0 - b_var)]
+        for got, want in ((est.curve.values, inside),
+                          (pair.eps[:, 0], prods - level)):
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 def test_failure_fraction_enforced():
