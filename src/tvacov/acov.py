@@ -222,14 +222,12 @@ def _check_block_width(m: Sequence[int | None], n_work: int) -> None:
                   f"length {n_work}")
 
 
-def _check_ranges(b_h, b_k, m, tau, bandwidths) -> None:
-    """The rules on fixed tuning values and the grid that need no length."""
+def _check_ranges(b_h, b_k, m, tau) -> None:
+    """The rules on fixed tuning values that need no length."""
     for what, values in (("b_h", b_h), ("b_k", b_k), ("tau", tau)):
         _check_values(values, lambda v: 0.0 < v < 0.5,  # NaN fails
                       f"{what} must be in (0, 1/2)")
     _check_values(m, lambda v: v >= 1, "m must be >= 1")
-    if bandwidths is not None:
-        check_bandwidth_grid(bandwidths)
 
 
 def _check_settings(n: int, h: int | None, lags: tuple[int, ...], b_h=None,
@@ -237,10 +235,11 @@ def _check_settings(n: int, h: int | None, lags: tuple[int, ...], b_h=None,
                     grid_points=None) -> tuple[list, list, list]:
     """The checks of `estimate_lags` that need no data, for a series of
     length n: lags against h, h against n, ``grid_points``, which lags the
-    bandwidths go to, the per-lag counts, `_check_ranges`, and a fixed m
-    against the working length of the smallest h; with n, h and lags
-    alone, as a study passes them, only the first two. Returns b_k per
-    positive lag and m and tau per lag."""
+    bandwidths go to, the per-lag counts, `_check_ranges`, the bandwidth
+    grid (`check_bandwidth_grid`), and a fixed m against the working
+    length of the smallest h; with n, h and lags alone, as a study passes
+    them, only the first two. Returns b_k per positive lag and m and tau
+    per lag."""
     # the scan returns an h above max(lags), so h_low is the smallest h
     h_low = max(lags, default=0) + 1 if h is None else h
     if not lags or min(lags) < 0 or max(lags) >= h_low:
@@ -259,7 +258,9 @@ def _check_settings(n: int, h: int | None, lags: tuple[int, ...], b_h=None,
     b_k = _per_lag(b_k, positive, "b_k")
     m = _per_lag(m, len(lags), "m")
     tau = _per_lag(tau, len(lags), "tau")
-    _check_ranges(b_h, b_k, m, tau, bandwidths)
+    _check_ranges(b_h, b_k, m, tau)
+    if bandwidths is not None:
+        check_bandwidth_grid(bandwidths)
     _check_block_width(m, n - h_low)
     return b_k, m, tau
 

@@ -14,14 +14,15 @@ exact: sums are evaluated with numpy's pairwise accumulation and the weight
 identities sum w_i = 1, sum w_i (t_i - t) = 0 hold to ~1e-15.
 
 One window function, `_window`, holds all of that arithmetic for a chunk of
-evaluation points; every public smoother is a loop over chunks of at most
-`_CHUNK_BUDGET` (chunk x n) cells, each freed before the next is built, and
-`lrv.lrv_curve` takes its Nadaraya-Watson rows from the same `_kernel_rows`.
+evaluation points; `_chunks` cuts `weight_matrix`, `_dense_fit` (the one level
+loop of `fit_curve` and `fit_at_data`) and `lrv.lrv_curve` into chunks of at
+most `_CHUNK_BUDGET` (chunk x n) cells, each freed before the next is built.
 Every fit of a series at its own design points i/n (cross-validation, the
 difference-series levels and residuals, the naive study's product fits) goes
 through `_design_fit`: there every window holds one kernel vector, so the
 moments are sliding correlations, O(n * n b) per bandwidth, that match
-`fit_at_data` to about 1e-14. Fits on any other grid stay dense.
+`fit_at_data` to about 1e-14. Fits on any other grid stay dense. Both forms
+reject a degenerate window in `_check_windows`, with the same texts.
 """
 
 from __future__ import annotations
@@ -54,6 +55,9 @@ _MIN_POINTS = 4
 _ENGAGED_FLOOR = 1e-12
 
 # Cap on the rows of the (chunk x n) temporaries, keeps memory ~tens of MB.
+# It is part of the result, not a free memory setting: OpenBLAS rounds a row
+# of a product by the product's shape, so another chunk height can move the
+# last bit of a fit or of `lrv.lrv_curve` (seen at n = 4500).
 _CHUNK_BUDGET = 4_000_000
 
 
@@ -129,9 +133,26 @@ def _check_bandwidth(b: float) -> float:
     return b
 
 
-def _chunk_rows(n: int) -> int:
-    """Evaluation points per chunk, so a (chunk x n) array stays in budget."""
-    return max(1, _CHUNK_BUDGET // n)
+def _chunks(size: int, n: int) -> list[slice]:
+    """Slices of ``size`` points, so a (slice x n) array stays in budget."""
+    step = max(1, _CHUNK_BUDGET // n)
+    return [slice(lo, lo + step) for lo in range(0, size, step)]
+
+
+def _check_windows(t: np.ndarray, engaged: np.ndarray, den: np.ndarray) -> None:
+    """Raise for the first window at ``t`` that engages fewer than
+    `_MIN_POINTS` points, else for the first with den <= `_DEN_FLOOR`."""
+    if np.any(engaged < _MIN_POINTS):
+        g = int(np.argmax(engaged < _MIN_POINTS))
+        raise SingularDesignError(
+            f"window at t={t[g]:.6g} engages {int(engaged[g])} points "
+            f"(< {_MIN_POINTS}); enlarge b or n"
+        )
+    if np.any(den <= _DEN_FLOOR):
+        g = int(np.argmax(den <= _DEN_FLOOR))
+        raise SingularDesignError(
+            f"singular design at t={t[g]:.6g}: S0 S2 - S1^2 = {den[g]:.3e}"
+        )
 
 
 def _kernel_rows(
@@ -148,24 +169,18 @@ def _window(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray | None]:
     """Local-linear weights for one chunk of evaluation points.
 
-    Returns (rows, S2, den, slope_rows): the level-weight rows
-    KV (S2 - D S1) / den, the window moment S2 and the WLS denominator
-    den = S0 S2 - S1^2 per point, and the derivative rows
+    Returns (rows, diag, slope_rows): the level-weight rows
+    KV (S2 - D S1) / den with den = S0 S2 - S1^2, the weight K(0) S2 / den
+    of a design point in its own window, and the derivative rows
     KV (S0 D - S1) / den when ``with_slope``. Each moment is summed once,
     and every row array is built in place (the level rows in D's buffer),
-    so the chunk never holds more than three (chunk x n) arrays. Raises if
-    any window is degenerate; a point engages only if its kernel value
-    exceeds `_ENGAGED_FLOOR` K(0), as in `_design_fit`.
+    so the chunk never holds more than three (chunk x n) arrays. A point
+    engages if its kernel value exceeds `_ENGAGED_FLOOR` K(0), counted
+    before KD exists; `_check_windows` rejects degenerate windows.
     """
     KV, D = _kernel_rows(t_eval, n, b, kernel)
-    floor = _ENGAGED_FLOOR * kernel(np.zeros(1))[0]
-    engaged = np.count_nonzero(KV > floor, axis=1)
-    if np.any(engaged < _MIN_POINTS):
-        g = int(np.argmax(engaged < _MIN_POINTS))
-        raise SingularDesignError(
-            f"window at t={t_eval[g]:.6g} engages {engaged[g]} points "
-            f"(< {_MIN_POINTS}); enlarge b or n"
-        )
+    k0 = kernel(np.zeros(1))[0]
+    engaged = np.count_nonzero(KV > _ENGAGED_FLOOR * k0, axis=1)
     KD = KV * D
     S0 = KV.sum(axis=1)
     S1 = KD.sum(axis=1)
@@ -173,11 +188,7 @@ def _window(
     S2 = KD.sum(axis=1)
     del KD
     den = S0 * S2 - S1 * S1
-    if np.any(den <= _DEN_FLOOR):
-        g = int(np.argmax(den <= _DEN_FLOOR))
-        raise SingularDesignError(
-            f"singular design at t={t_eval[g]:.6g}: S0 S2 - S1^2 = {den[g]:.3e}"
-        )
+    _check_windows(t_eval, engaged, den)
     slope = None
     if with_slope:
         slope = S0[:, None] * D
@@ -189,7 +200,7 @@ def _window(
     np.subtract(S2[:, None], rows, out=rows)
     rows *= KV
     rows /= den[:, None]
-    return rows, S2, den, slope
+    return rows, k0 * S2 / den, slope
 
 
 def _design_fit(
@@ -203,8 +214,7 @@ def _design_fit(
     ends of 1..n. With the series and a vector of ones padded by L zeros,
     the moments S_q = sum_d k(d) (d/n)^q and T_r = sum_d k(d) (d/n)^r v_{i+d}
     are five correlations, O(n L) in all. Agrees with `fit_at_data` to
-    about 1e-14; a window of fewer than 4 engaged points or a singular one
-    raises as in `_window`.
+    about 1e-14; `_check_windows` rejects degenerate windows as in `_window`.
     """
     values = np.asarray(values, dtype=float)
     b = _check_bandwidth(b)
@@ -218,26 +228,35 @@ def _design_fit(
 
     engaged = np.correlate(ones, (k > _ENGAGED_FLOOR * k[L]).astype(float),
                            "valid")
-    if np.any(engaged < _MIN_POINTS):
-        i = int(np.argmax(engaged < _MIN_POINTS))
-        raise SingularDesignError(
-            f"window at t={(i + 1) / n:.6g} engages {int(engaged[i])} points "
-            f"(< {_MIN_POINTS}); enlarge b or n"
-        )
     kd = k * d
     S0 = np.correlate(ones, k, "valid")
     S1 = np.correlate(ones, kd, "valid")
     S2 = np.correlate(ones, kd * d, "valid")
     den = S0 * S2 - S1 * S1
-    if np.any(den <= _DEN_FLOOR):
-        i = int(np.argmax(den <= _DEN_FLOOR))
-        raise SingularDesignError(
-            f"singular design at t={(i + 1) / n:.6g}: S0 S2 - S1^2 = "
-            f"{den[i]:.3e}"
-        )
+    _check_windows(unit_grid(n), engaged, den)
     fitted = (S2 * np.correlate(padded, k, "valid")
               - S1 * np.correlate(padded, kd, "valid")) / den
     return fitted, float(np.sum(k[L] * S2 / den))
+
+
+def _dense_fit(
+    values: np.ndarray, grid: np.ndarray, b: float, kernel: Kernel,
+    with_slope: bool = False,
+) -> tuple[np.ndarray, float, np.ndarray | None]:
+    """Level on ``grid``, the sum of the `_window` diagonals (the hat trace
+    when ``grid`` is the design points), and the slope if ``with_slope``."""
+    n = values.size
+    level = np.empty(grid.size)
+    slope = np.empty(grid.size) if with_slope else None
+    trace = 0.0
+    for part in _chunks(grid.size, n):
+        rows, diag, slope_rows = _window(grid[part], n, b, kernel, with_slope)
+        level[part] = rows @ values
+        if with_slope:
+            slope[part] = slope_rows @ values
+        trace += float(np.sum(diag))
+        del rows, slope_rows  # free this chunk before the next is built
+    return level, trace, slope
 
 
 def weights(n: int, t: float, b: float, kernel: Kernel) -> WeightSet:
@@ -279,9 +298,8 @@ def weight_matrix(
     b = _check_bandwidth(b)
     grid = np.asarray(grid, dtype=float)
     out = np.empty((grid.size, n))
-    step = _chunk_rows(n)
-    for lo in range(0, grid.size, step):
-        out[lo : lo + step] = _window(grid[lo : lo + step], n, b, kernel)[0]
+    for part in _chunks(grid.size, n):
+        out[part] = _window(grid[part], n, b, kernel)[0]
     return out
 
 
@@ -325,23 +343,12 @@ def fit_curve(
     if not np.all(np.isfinite(values)):
         raise ConfigurationError("series contains non-finite values")
     b = _check_bandwidth(b)
-    n = values.size
     if grid is None:
-        grid = interior_grid(n, b)
+        grid = interior_grid(values.size, b)
         if grid.size == 0:
             raise ConfigurationError("no design points inside [b, 1-b]")
     grid = np.asarray(grid, dtype=float)
-
-    level = np.empty(grid.size)
-    slope = np.empty(grid.size) if with_slope else None
-    step = _chunk_rows(n)
-    for lo in range(0, grid.size, step):
-        rows, _, _, slope_rows = _window(grid[lo : lo + step], n, b, kernel,
-                                         with_slope)
-        level[lo : lo + step] = rows @ values
-        if with_slope:
-            slope[lo : lo + step] = slope_rows @ values
-        del rows, slope_rows  # free this chunk before the next is built
+    level, _, slope = _dense_fit(values, grid, b, kernel, with_slope)
     if not np.all(np.isfinite(level)):
         raise SingularDesignError("fit produced non-finite values")
     return CurveOnGrid(grid=grid, values=level, slope=slope)
@@ -354,23 +361,11 @@ def fit_at_data(
 
     The trace is accumulated from the diagonal elements
     w_i(t_i) = K(0) S2(t_i) / den(t_i) without materializing the n x n hat
-    matrix; this is the pair cross-validation needs.
+    matrix; `_design_fit` computes the same pair by sliding correlations.
     """
     values = np.asarray(values, dtype=float)
     b = _check_bandwidth(b)
-    n = values.size
-    grid = unit_grid(n)
-    k0 = float(kernel(np.array([0.0]))[0])
-
-    fitted = np.empty(n)
-    trace = 0.0
-    step = _chunk_rows(n)
-    for lo in range(0, n, step):
-        rows, S2, den, _ = _window(grid[lo : lo + step], n, b, kernel)
-        fitted[lo : lo + step] = rows @ values
-        trace += float(np.sum(k0 * S2 / den))
-        del rows  # free this chunk before the next is built
-    return fitted, trace
+    return _dense_fit(values, unit_grid(values.size), b, kernel)[:2]
 
 
 def hat_trace(n: int, b: float, kernel: Kernel) -> float:

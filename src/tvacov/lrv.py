@@ -10,8 +10,8 @@ estimated from overlapping block sums of the fitted residuals:
 with Nadaraya-Watson weights wtilde_i(t) = K_tau(t_i - t) / sum_l K_tau. The
 estimate is symmetric PSD by construction (a convex combination of rank-one
 outer products). Blocks that stick out of 1..n are truncated and divided by
-their true size instead of 2m + 1. The weights are built chunk by chunk from
-the smoother's kernel rows, so no (grid x n) kernel matrix is ever formed.
+their true size instead of 2m + 1. The weights are built in the smoother's
+`_chunks` from its `_kernel_rows`, so no (grid x n) kernel matrix is formed.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import ConfigurationError, SingularDesignError, _check_values
 from .kernels import Kernel
-from .locallinear import CurveOnGrid, _chunk_rows, _design_fit, _kernel_rows
+from .locallinear import CurveOnGrid, _chunks, _design_fit, _kernel_rows, interior_grid
 from .diffseries import difference
 from .procgen import TimeSeries
 
@@ -176,17 +176,16 @@ def _smoothed_blocks(
     n = eps.shape[0]
     nmat = np.hstack([_block_products(eps, m) for m in ms])
     flat = np.empty((grid.size, nmat.shape[1]))
-    step = _chunk_rows(n)
-    for lo in range(0, grid.size, step):
-        kv = _kernel_rows(grid[lo : lo + step], n, tau, kernel)[0]
+    for part in _chunks(grid.size, n):
+        kv = _kernel_rows(grid[part], n, tau, kernel)[0]
         rowsum = kv.sum(axis=1)
         if np.any(rowsum <= 0.0):
-            g = lo + int(np.argmax(rowsum <= 0.0))
+            g = part.start + int(np.argmax(rowsum <= 0.0))
             raise SingularDesignError(
                 f"empty smoothing window at t={grid[g]:.6g} for tau={tau}"
             )
         kv /= rowsum[:, None]
-        flat[lo : lo + step] = kv @ nmat
+        flat[part] = kv @ nmat
         del kv  # free this chunk before the next is built
     # (G, 3M) -> (M, G, 3) -> entries (11, 12, 21, 22) of each 2x2 matrix
     flat = flat.reshape(grid.size, len(ms), 3).transpose(1, 0, 2)
@@ -220,9 +219,8 @@ def lrv_curve(
     _check_values(tau, lambda v: 0.0 < v < 0.5,  # NaN fails
                   "tau must be in (0, 1/2)")
     tau = float(tau)
-    t_data = res.grid
     if grid is None:
-        grid = t_data[(t_data >= tau) & (t_data <= 1.0 - tau)]
+        grid = interior_grid(n, tau)
     grid = np.asarray(grid, dtype=float)
     if grid.size == 0:
         raise ConfigurationError("no evaluation points (none given or none "

@@ -219,7 +219,9 @@ def bootstrap_quantile(
         if grid.size == 0:
             raise ConfigurationError("no design points inside [b, 1-b]")
     grid = np.asarray(grid, dtype=float)
-    if grid[0] < b - 1e-12 or grid[-1] > 1.0 - b + 1e-12:
+    if grid.ndim != 1 or grid.size == 0:
+        raise ConfigurationError("sup grid must be a nonempty 1-d array")
+    if not np.all((grid >= b - 1e-12) & (grid <= 1.0 - b + 1e-12)):
         raise ConfigurationError("sup grid must lie inside [b, 1-b]")
 
     sups = np.empty(draws)

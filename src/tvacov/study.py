@@ -80,9 +80,10 @@ class StudyConfig:
     ``m``/``tau`` fix the long-run covariance blocks; one left None comes
     from minimum volatility (the other stays fixed; ``min_volatility=True``
     needs one None) or its plain rule (ceil(n^(1/3)), 0.2).
-    Fixed bandwidths, bandwidth_grid values and tau lie in (0, 1/2) and
-    m >= 1, checked by `acov._check_ranges`, as in `estimate_lags`, when
-    the config is built; it is frozen, so they stay checked. Gumbel needs
+    Fixed bandwidths and tau lie in (0, 1/2) and m >= 1, checked by
+    `acov._check_ranges` as in `estimate_lags`, and bandwidth_grid passes
+    `check_bandwidth_grid` in `bandwidth_candidates`, when the config is
+    built; it is frozen, so they stay checked. Gumbel needs
     b < 1/e, bootstrap at least 1000 draws (`check_band_settings`).
     ``quantile_inflation`` scales the bootstrap critical value, for
     sensitivity checks only; gumbel takes neither it nor
@@ -127,8 +128,7 @@ class StudyConfig:
             raise ConfigurationError("lags must be nonnegative integers")
         object.__setattr__(self, "lags", lags)
         check_band_settings(self.method, self.alpha, self.draws)
-        _check_ranges(self.b_h, self.b_k, self.m, self.tau,
-                      self.bandwidth_grid)
+        _check_ranges(self.b_h, self.b_k, self.m, self.tau)
         if self.min_volatility and self.m is not None and self.tau is not None:
             raise ConfigurationError(
                 "min_volatility selects m or tau, but both are fixed"
@@ -136,7 +136,7 @@ class StudyConfig:
         if self.threads < 1:
             raise ConfigurationError("threads must be >= 1")
         bandwidth_candidates(self.method, self.bandwidth_grid,
-                             (self.b_h, self.b_k))  # gumbel: b < 1/e
+                             (self.b_h, self.b_k))  # grid; gumbel: b < 1/e
         if self.quantile_inflation <= 0:
             raise ConfigurationError("quantile_inflation must be positive")
         if self.method == "gumbel" and (self.quantile_inflation != 1.0

@@ -92,13 +92,16 @@ def gcv_bandwidth(
     Raises
     ------
     ConfigurationError
-        If a candidate lies outside (0, 1/2) (`check_bandwidth_grid`).
+        If a candidate lies outside (0, 1/2) (`check_bandwidth_grid`) or
+        the series holds NaN or inf.
     TuningError
         If every candidate fails (singular design or trace >= n).
     """
     series = np.asarray(series, dtype=float)
     if series.ndim != 1 or series.size < 4:
         raise ConfigurationError("series must be 1-d with at least 4 points")
+    if not np.all(np.isfinite(series)):
+        raise ConfigurationError("series contains non-finite values")
     if kernel is None:
         kernel = epanechnikov()
     if bandwidths is None:

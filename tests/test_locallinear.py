@@ -234,6 +234,30 @@ def test_dense_and_design_fits_reject_the_same_windows():
         fit_at_data(np.ones(10), 0.2, KERN)
 
 
+def test_every_path_gives_the_same_window_error():
+    # single points, the weight matrix, dense fits and the sliding
+    # correlations all reject a too-small window with one text
+    for n, b in ((10, 0.2), (68, 3 / 68), (20, 0.05)):
+        vals = np.random.default_rng(n).normal(size=n)
+        grid = unit_grid(n)
+
+        def point_by_point():
+            for t in grid:  # raises at the first degenerate window
+                weights(n, t, b, KERN)
+
+        runs = (point_by_point,
+                lambda: weight_matrix(n, grid, b, KERN),
+                lambda: fit_curve(vals, b, KERN, grid=grid),
+                lambda: fit_at_data(vals, b, KERN),
+                lambda: _design_fit(vals, b, KERN))
+        texts = set()
+        for run in runs:
+            with pytest.raises(SingularDesignError) as err:
+                run()
+            texts.add(str(err.value))
+        assert len(texts) == 1, (n, b, texts)
+
+
 def _chunked_outputs(vals, grid, b):
     res = ResidualPair(eps=np.column_stack([vals, vals[::-1]]), lags=(3, 1))
     fitted, trace = fit_at_data(vals, b, KERN)

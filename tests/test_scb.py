@@ -157,6 +157,15 @@ def test_bootstrap_quantile_validation():
         q.quantile_at(1.0)
 
 
+def test_bootstrap_quantile_checks_every_sup_grid_point():
+    # an interior point outside [b, 1-b] fails as the ends do; an empty grid
+    # is a configuration error, not an IndexError
+    for grid in ([0.3, 0.05, 0.5], []):
+        with pytest.raises(ConfigurationError):
+            bootstrap_quantile(400, 0.2, KERN, draws=1000,
+                               grid=np.array(grid))
+
+
 def test_gumbel_constant_frozen_value():
     # with the tail term cancelled (alpha = 1 - exp(-2)) the multiplier
     # reduces to the centering constant; for this kernel at m* = 10 it is

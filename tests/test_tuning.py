@@ -125,6 +125,16 @@ def test_gcv_validation():
         gcv_bandwidth(np.ones(20), np.array([]))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_gcv_rejects_a_non_finite_series(bad):
+    # a configuration error (exit 2), as in fit_curve, not "every bandwidth
+    # candidate failed" (exit 5)
+    v = np.random.default_rng(0).normal(size=200)
+    v[50] = bad
+    with pytest.raises(ConfigurationError, match="non-finite"):
+        gcv_bandwidth(v)
+
+
 @pytest.mark.parametrize("grid", [[0.6, 0.7], [0.2, 0.7], [0.0, 0.2],
                                   [0.2, np.nan], [0.2, np.inf], [0.5]])
 def test_gcv_rejects_candidates_outside_the_open_half_interval(grid):
