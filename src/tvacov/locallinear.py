@@ -166,7 +166,7 @@ def _kernel_rows(
 def _window(
     t_eval: np.ndarray, n: int, b: float, kernel: Kernel,
     with_slope: bool = False,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray | None]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     """Local-linear weights for one chunk of evaluation points.
 
     Returns (rows, diag, slope_rows): the level-weight rows

@@ -95,7 +95,7 @@ def gcv_bandwidth(
         If a candidate lies outside (0, 1/2) (`check_bandwidth_grid`) or
         the series holds NaN or inf.
     TuningError
-        If every candidate fails (singular design or trace >= n).
+        If every candidate fails (degenerate window or trace >= n).
     """
     series = np.asarray(series, dtype=float)
     if series.ndim != 1 or series.size < 4:
