@@ -26,7 +26,7 @@ import numpy as np
 from .diffseries import difference, select_lag
 from .errors import ConfigurationError, InvalidLagError, _check_values
 from .kernels import Kernel
-from .locallinear import CurveOnGrid, fit_curve, interior_grid, unit_grid
+from .locallinear import CurveOnGrid, _in_band_range, fit_curve, interior_grid, unit_grid
 from .lrv import (
     ResidualPair,
     SigmaFunctionals,
@@ -105,7 +105,7 @@ class LagEstimate:
 def _interior(fitted: np.ndarray, b: float) -> CurveOnGrid:
     """A fit at the design points i/n, restricted to [b, 1-b]."""
     t = unit_grid(fitted.size)
-    inside = (t >= b) & (t <= 1.0 - b)
+    inside = _in_band_range(t, b)
     return CurveOnGrid(grid=t[inside], values=fitted[inside])
 
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import ConfigurationError, InvalidLagError
 from .kernels import Kernel, epanechnikov
-from .locallinear import fit_curve
+from .locallinear import fit_curve, unit_grid
 from .procgen import TimeSeries
 
 __all__ = [
@@ -57,7 +57,7 @@ class DifferenceSeries:
 
     @property
     def grid(self) -> np.ndarray:
-        return np.arange(1, self.n + 1) / self.n
+        return unit_grid(self.n)
 
 
 def difference(y: TimeSeries, k: int) -> DifferenceSeries:

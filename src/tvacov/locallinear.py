@@ -14,14 +14,14 @@ exact: sums are evaluated with numpy's pairwise accumulation and the weight
 identities sum w_i = 1, sum w_i (t_i - t) = 0 hold to ~1e-15.
 
 One window function, `_window`, holds all of that arithmetic for a chunk of
-evaluation points; `_chunks` cuts `weight_matrix`, `_dense_fit` (the one level
-loop of `fit_curve` and `fit_at_data`) and `lrv.lrv_curve` into chunks of at
+evaluation points; `_chunks` cuts `weight_matrix`, `fit_curve` (the dense
+reference for every fit below) and `lrv.lrv_curve` into chunks of at
 most `_CHUNK_BUDGET` (chunk x n) cells, each freed before the next is built.
-Every fit of a series at its own design points i/n (cross-validation, the
+Every fit of a series at its own design points i/n (`fit_at_data`, GCV, the
 difference-series levels and residuals, the naive study's product fits) goes
 through `_design_fit`: there every window holds one kernel vector, so the
 moments are sliding correlations, O(n * n b) per bandwidth, that match
-`fit_at_data` to about 1e-14. Fits on any other grid stay dense. Both forms
+the dense rows to about 1e-14. Fits on any other grid stay dense. Both forms
 reject a degenerate window in `_check_windows`, with the same texts.
 """
 
@@ -74,7 +74,7 @@ class CurveOnGrid:
     slope: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        grid = np.asarray(self.grid, dtype=float)
+        grid = _check_points(self.grid)
         values = np.asarray(self.values, dtype=float)
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "values", values)
@@ -84,8 +84,6 @@ class CurveOnGrid:
             raise ConfigurationError("values and grid shapes differ")
         if not np.all(np.diff(grid) > 0):
             raise ConfigurationError("grid must be strictly increasing")
-        if grid[0] < 0.0 or grid[-1] > 1.0:
-            raise ConfigurationError("grid must lie inside [0, 1]")
         if not np.all(np.isfinite(values)):
             raise ConfigurationError("curve values must be finite")
         if self.slope is not None:
@@ -133,6 +131,16 @@ def _check_bandwidth(b: float) -> float:
     return b
 
 
+def _check_points(t) -> np.ndarray:
+    """``t`` as a float array, raising unless every point is in [0, 1]."""
+    t = np.asarray(t, dtype=float)
+    bad = t[~((t >= 0.0) & (t <= 1.0))]  # NaN and inf fail too
+    if bad.size:
+        raise ConfigurationError("evaluation points must be finite and in "
+                                 f"[0, 1], got {np.unique(bad).tolist()}")
+    return t
+
+
 def _chunks(size: int, n: int) -> list[slice]:
     """Slices of ``size`` points, so a (slice x n) array stays in budget."""
     step = max(1, _CHUNK_BUDGET // n)
@@ -166,12 +174,11 @@ def _kernel_rows(
 def _window(
     t_eval: np.ndarray, n: int, b: float, kernel: Kernel,
     with_slope: bool = False,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+) -> tuple[np.ndarray, np.ndarray | None]:
     """Local-linear weights for one chunk of evaluation points.
 
-    Returns (rows, diag, slope_rows): the level-weight rows
-    KV (S2 - D S1) / den with den = S0 S2 - S1^2, the weight K(0) S2 / den
-    of a design point in its own window, and the derivative rows
+    Returns (rows, slope_rows): the level-weight rows
+    KV (S2 - D S1) / den with den = S0 S2 - S1^2, and the derivative rows
     KV (S0 D - S1) / den when ``with_slope``. Each moment is summed once,
     and every row array is built in place (the level rows in D's buffer),
     so the chunk never holds more than three (chunk x n) arrays. A point
@@ -200,20 +207,20 @@ def _window(
     np.subtract(S2[:, None], rows, out=rows)
     rows *= KV
     rows /= den[:, None]
-    return rows, k0 * S2 / den, slope
+    return rows, slope
 
 
 def _design_fit(
     values: np.ndarray, b: float, kernel: Kernel
 ) -> tuple[np.ndarray, float]:
-    """`fit_at_data` by sliding correlations, for every fit of a series at
-    its own design points.
+    """Fitted values and hat trace at the design points by sliding
+    correlations, for every fit of a series at its own design points.
 
     At the design points every window holds the same kernel vector
     k(d) = K((d/n)/b), d = -L..L with L = floor(n b) + 1, cut off at the
     ends of 1..n. With the series and a vector of ones padded by L zeros,
     the moments S_q = sum_d k(d) (d/n)^q and T_r = sum_d k(d) (d/n)^r v_{i+d}
-    are five correlations, O(n L) in all. Agrees with `fit_at_data` to
+    are five correlations, O(n L) in all. Agrees with the dense rows to
     about 1e-14; `_check_windows` rejects degenerate windows as in `_window`.
     """
     values = np.asarray(values, dtype=float)
@@ -239,26 +246,6 @@ def _design_fit(
     return fitted, float(np.sum(k[L] * S2 / den))
 
 
-def _dense_fit(
-    values: np.ndarray, grid: np.ndarray, b: float, kernel: Kernel,
-    with_slope: bool = False,
-) -> tuple[np.ndarray, float, np.ndarray | None]:
-    """Level on ``grid``, the sum of the `_window` diagonals (the hat trace
-    when ``grid`` is the design points), and the slope if ``with_slope``."""
-    n = values.size
-    level = np.empty(grid.size)
-    slope = np.empty(grid.size) if with_slope else None
-    trace = 0.0
-    for part in _chunks(grid.size, n):
-        rows, diag, slope_rows = _window(grid[part], n, b, kernel, with_slope)
-        level[part] = rows @ values
-        if with_slope:
-            slope[part] = slope_rows @ values
-        trace += float(np.sum(diag))
-        del rows, slope_rows  # free this chunk before the next is built
-    return level, trace, slope
-
-
 def weights(n: int, t: float, b: float, kernel: Kernel) -> WeightSet:
     """Level weights w_i(t) for a series of length n at one point t.
 
@@ -281,9 +268,7 @@ def weights(n: int, t: float, b: float, kernel: Kernel) -> WeightSet:
         for |t_i - t| > b.
     """
     b = _check_bandwidth(b)
-    t = float(t)
-    if not 0.0 <= t <= 1.0:
-        raise ConfigurationError(f"evaluation point must be in [0, 1], got {t!r}")
+    t = float(_check_points(t))
     row = _window(np.array([t]), n, b, kernel)[0][0]
     engaged = np.nonzero(row != 0.0)[0]
     start = int(engaged[0])
@@ -296,17 +281,22 @@ def weight_matrix(
 ) -> np.ndarray:
     """The (len(grid) x n) matrix of level weights, row g for grid[g]."""
     b = _check_bandwidth(b)
-    grid = np.asarray(grid, dtype=float)
+    grid = _check_points(grid)
     out = np.empty((grid.size, n))
     for part in _chunks(grid.size, n):
         out[part] = _window(grid[part], n, b, kernel)[0]
     return out
 
 
+def _in_band_range(t: np.ndarray, b: float) -> np.ndarray:
+    """Mask of the points of ``t`` inside [b, 1-b]."""
+    return (t >= b) & (t <= 1.0 - b)
+
+
 def interior_grid(n: int, b: float) -> np.ndarray:
     """Design points i/n restricted to [b, 1-b], the band-valid range."""
     g = unit_grid(n)
-    return g[(g >= b) & (g <= 1.0 - b)]
+    return g[_in_band_range(g, b)]
 
 
 def fit_curve(
@@ -327,7 +317,7 @@ def fit_curve(
     kernel : Kernel
         Smoothing kernel.
     grid : ndarray, optional
-        Evaluation points. Default: the design points restricted to
+        Evaluation points in [0, 1]. Default: the design points within
         [b, 1-b]. Points outside that range are allowed (the window is then
         one-sided) but the band theory does not cover them.
     with_slope : bool
@@ -347,8 +337,16 @@ def fit_curve(
         grid = interior_grid(values.size, b)
         if grid.size == 0:
             raise ConfigurationError("no design points inside [b, 1-b]")
-    grid = np.asarray(grid, dtype=float)
-    level, _, slope = _dense_fit(values, grid, b, kernel, with_slope)
+    grid = _check_points(grid)
+    n = values.size
+    level = np.empty(grid.size)
+    slope = np.empty(grid.size) if with_slope else None
+    for part in _chunks(grid.size, n):
+        rows, slope_rows = _window(grid[part], n, b, kernel, with_slope)
+        level[part] = rows @ values
+        if with_slope:
+            slope[part] = slope_rows @ values
+        del rows, slope_rows  # free this chunk before the next is built
     if not np.all(np.isfinite(level)):
         raise SingularDesignError("fit produced non-finite values")
     return CurveOnGrid(grid=grid, values=level, slope=slope)
@@ -359,13 +357,11 @@ def fit_at_data(
 ) -> tuple[np.ndarray, float]:
     """Fitted values at every design point plus the hat-matrix trace.
 
-    The trace is accumulated from the diagonal elements
+    The sliding correlations of `_design_fit`, which sum the diagonal
     w_i(t_i) = K(0) S2(t_i) / den(t_i) without materializing the n x n hat
-    matrix; `_design_fit` computes the same pair by sliding correlations.
+    matrix; the dense reference is `fit_curve` on `unit_grid(n)`.
     """
-    values = np.asarray(values, dtype=float)
-    b = _check_bandwidth(b)
-    return _dense_fit(values, unit_grid(values.size), b, kernel)[:2]
+    return _design_fit(values, b, kernel)
 
 
 def hat_trace(n: int, b: float, kernel: Kernel) -> float:

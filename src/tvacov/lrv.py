@@ -22,7 +22,8 @@ import numpy as np
 
 from .errors import ConfigurationError, SingularDesignError, _check_values
 from .kernels import Kernel
-from .locallinear import CurveOnGrid, _chunks, _design_fit, _kernel_rows, interior_grid
+from .locallinear import (CurveOnGrid, _check_points, _chunks, _design_fit,
+                          _kernel_rows, interior_grid, unit_grid)
 from .diffseries import difference
 from .procgen import TimeSeries
 
@@ -60,7 +61,7 @@ class ResidualPair:
 
     @property
     def grid(self) -> np.ndarray:
-        return np.arange(1, self.n + 1) / self.n
+        return unit_grid(self.n)
 
 
 @dataclass(frozen=True)
@@ -221,7 +222,7 @@ def lrv_curve(
     tau = float(tau)
     if grid is None:
         grid = interior_grid(n, tau)
-    grid = np.asarray(grid, dtype=float)
+    grid = _check_points(grid)
     if grid.size == 0:
         raise ConfigurationError("no evaluation points (none given or none "
                                  "inside [tau, 1-tau])")

@@ -24,6 +24,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConfigurationError, NumericError
+from .locallinear import _check_points, unit_grid
 
 __all__ = [
     "MeanSpec",
@@ -184,7 +185,7 @@ class TimeSeries:
 
     @property
     def grid(self) -> np.ndarray:
-        return np.arange(1, self.n + 1) / self.n
+        return unit_grid(self.n)
 
 
 def _innovations(
@@ -206,11 +207,9 @@ def generate(
     (mean, model, n, seed) give bit-identical output; the same seed with a
     different mean reuses the identical noise path.
     """
-    if n < 2:
-        raise ConfigurationError("n must be >= 2")
+    t = unit_grid(n)  # raises for n < 2
     J = model.order
     zeta = _innovations(model, n + J, seed)
-    t = np.arange(1, n + 1) / n
     coeffs = model.coefficients(t)  # (J+1, n)
     x = np.zeros(n)
     for j in range(J + 1):
@@ -229,8 +228,7 @@ def frozen_path(
     This is the comparison process behind `true_gamma`: its lag-k sample
     autocovariance converges to true_gamma(model, k, t).
     """
-    if not 0.0 <= t <= 1.0:
-        raise ConfigurationError("t must be in [0, 1]")
+    _check_points(t)
     if length < 1:
         raise ConfigurationError("length must be >= 1")
     J = model.order

@@ -43,7 +43,7 @@ from .errors import (
     GridAlignmentError,
 )
 from .kernels import Kernel
-from .locallinear import CurveOnGrid, interior_grid, unit_grid, weight_matrix
+from .locallinear import CurveOnGrid, _in_band_range, interior_grid, unit_grid, weight_matrix
 from .tuning import check_bandwidth_grid, default_bandwidth_grid
 
 __all__ = [
@@ -221,7 +221,7 @@ def bootstrap_quantile(
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size == 0:
         raise ConfigurationError("sup grid must be a nonempty 1-d array")
-    if not np.all((grid >= b - 1e-12) & (grid <= 1.0 - b + 1e-12)):
+    if not np.all(_in_band_range(grid, b - 1e-12)):  # 1e-12 slack each side
         raise ConfigurationError("sup grid must lie inside [b, 1-b]")
 
     sups = np.empty(draws)

@@ -8,7 +8,7 @@ bandwidth by minimizing
 over a candidate grid (default 0.15..0.45 in steps of 0.01). The fit and
 the trace at the design points come from `locallinear._design_fit`, five
 sliding correlations at O(n * n b) per candidate, which match the dense
-`fit_at_data` to about 1e-14. The block parameters (m, tau) of the
+rows of `fit_curve` to about 1e-14. The block parameters (m, tau) of the
 long-run covariance are picked by extended minimum volatility: every
 interior grid pair is scored by the integrated sample dispersion of the
 nine curves in its cross-shaped neighborhood, and the most stable pair
@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import ConfigurationError, SingularDesignError, TuningError
 from .kernels import Kernel, epanechnikov
-from .locallinear import _design_fit
+from .locallinear import _design_fit, _in_band_range
 from .lrv import LongRunCovCurve, ResidualPair, _smoothed_blocks
 
 __all__ = [
@@ -262,7 +262,7 @@ def min_volatility(
     valid = np.zeros((len(m_grid), len(tau_grid)), dtype=bool)
     fit = np.flatnonzero((m_grid >= 1) & (m_grid <= n // 4))
     for j, tau in enumerate(tau_grid):
-        inside = np.flatnonzero((t_grid >= tau) & (t_grid <= 1.0 - tau))
+        inside = np.flatnonzero(_in_band_range(t_grid, tau))
         if not (0.0 < tau < 0.5 and inside.size and fit.size):
             continue
         sub = t_grid[inside]  # one run of design points

@@ -7,6 +7,7 @@ against an explicitly assembled hat matrix.
 """
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -64,7 +65,7 @@ def test_level_weights_match_textbook_expression_bitwise(monkeypatch):
     S1 = (KV * D).sum(axis=1)
     S2 = (KV * D * D).sum(axis=1)
     den = S0 * S2 - S1 * S1
-    fitted, _ = fit_at_data(values, b, KERN)
+    fitted = fit_curve(values, b, KERN, grid=full).values
     assert_array_equal(fitted, (KV * (S2[:, None] - D * S1[:, None])
                                 / den[:, None]) @ values)
     # Nadaraya-Watson rows of the long-run covariance, in one chunk and in
@@ -163,12 +164,15 @@ def test_hat_trace_matches_explicit_hat_matrix():
 
 
 def _assert_design_fit_matches(vals, b):
+    # the dense reference is the hat matrix: its rows are those of
+    # fit_curve on unit_grid(n), built once for the level and the trace
     try:
-        fitted, trace = fit_at_data(vals, b, KERN)
+        H = weight_matrix(vals.size, unit_grid(vals.size), b, KERN)
     except SingularDesignError:
         with pytest.raises(SingularDesignError):
             _design_fit(vals, b, KERN)
         return
+    fitted, trace = H @ vals, np.trace(H)
     got, got_trace = _design_fit(vals, b, KERN)
     assert np.max(np.abs(got - fitted)) <= 1e-13 * np.max(np.abs(fitted))
     assert abs(got_trace - trace) <= 1e-13 * trace
@@ -205,6 +209,10 @@ def test_design_fit_raises_where_fit_at_data_does():
         _design_fit(vals, 0.5, KERN)
 
 
+def _dense_fit(vals, b, kernel):
+    return fit_curve(vals, b, kernel, grid=unit_grid(vals.size))
+
+
 def _rejection(run, vals, b):
     try:
         run(vals, b, KERN)
@@ -223,7 +231,7 @@ def test_dense_and_design_fits_reject_the_same_windows():
     rejected = 0
     for n, b in cases:
         vals = np.random.default_rng(n).normal(size=n)
-        dense = _rejection(fit_at_data, vals, b)
+        dense = _rejection(_dense_fit, vals, b)
         design = _rejection(_design_fit, vals, b)
         assert (dense is None) == (design is None), (n, b, dense, design)
         if dense is not None and "engages" in dense:
@@ -231,7 +239,7 @@ def test_dense_and_design_fits_reject_the_same_windows():
         rejected += dense is not None
     assert 0 < rejected < len(cases)
     with pytest.raises(SingularDesignError, match="engages 2 points"):
-        fit_at_data(np.ones(10), 0.2, KERN)
+        _dense_fit(np.ones(10), 0.2, KERN)
 
 
 def test_every_path_gives_the_same_window_error():
@@ -287,7 +295,7 @@ def test_chunks_bound_traced_memory(monkeypatch):
     vals = np.random.default_rng(4).normal(size=n)
     res = ResidualPair(eps=np.column_stack([vals, vals[::-1]]), lags=(3, 1))
     for grid_size, run in (
-        (n, lambda: fit_at_data(vals, b, KERN)),
+        (n, lambda: fit_curve(vals, b, KERN, grid=unit_grid(n))),
         (interior_grid(n, b).size, lambda: lrv_curve(res, 3, b, KERN)),
     ):
         tracemalloc.start()
@@ -298,6 +306,26 @@ def test_chunks_bound_traced_memory(monkeypatch):
             tracemalloc.stop()
         assert peak < grid_size * n * 8
         assert peak < 4 * chunk_bytes
+
+
+def test_dense_entry_points_check_evaluation_points():
+    # a point must be finite and in [0, 1]; it is rejected before any kernel
+    # row is built, so an infinite point raises no numpy warning first
+    vals = np.random.default_rng(1).normal(size=50)
+    res = ResidualPair(eps=np.column_stack([vals, vals[::-1]]), lags=(3, 1))
+    runs = (lambda g: fit_curve(vals, 0.2, KERN, grid=g),
+            lambda g: weight_matrix(50, g, 0.2, KERN),
+            lambda g: lrv_curve(res, 3, 0.2, KERN, grid=g))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for grid, bad in (([np.inf, 0.5], r"\[inf\]"), ([0.5, 1.5], r"\[1.5\]")):
+            for run in runs:
+                with pytest.raises(ConfigurationError,
+                                   match=r"finite and in \[0, 1\], got " + bad):
+                    run(np.array(grid))
+        for t in (np.inf, np.nan, -0.1):
+            with pytest.raises(ConfigurationError, match="finite and in"):
+                weights(50, t, 0.2, KERN)
 
 
 def test_interior_grid():

@@ -11,7 +11,7 @@ from tvacov.acov import naive_estimate
 from tvacov.diffseries import default_start_lag
 from tvacov.errors import ConfigurationError, NumericError
 from tvacov.kernels import epanechnikov
-from tvacov.locallinear import fit_at_data, fit_curve
+from tvacov.locallinear import fit_curve, unit_grid
 from tvacov.lrv import ResidualPair, lrv_curve, sigma_functionals
 from tvacov.procgen import MeanSpec, generate, model_preset
 from tvacov.study import (
@@ -114,7 +114,8 @@ def test_naive_replication_matches_step_by_step():
         assert_allclose(est.curve.values, ref.curve.values, rtol=1e-12)
         assert (est.bandwidth, est.mean_bandwidth) == (0.25, 0.2)
         prods = resid * resid if lag == 0 else resid[lag:] * resid[:-lag]
-        eps = prods - fit_at_data(prods, 0.25, kern)[0]
+        eps = prods - fit_curve(prods, 0.25, kern,
+                                grid=unit_grid(prods.size)).values
         pair = ResidualPair(eps=np.column_stack([eps, eps]), lags=(1, 1))
         ref_sigma = sigma_functionals(
             lrv_curve(pair, 3, 0.2, kern, grid=ref.curve.grid)).sigma_h
@@ -129,7 +130,8 @@ def test_naive_replication_matches_step_by_step():
 ])
 def test_naive_replication_level_matches_the_dense_fit(n, b_var, monkeypatch):
     # the product fit at the design points (sliding correlations) agrees
-    # with fit_at_data to rounding, in the estimate and in the residuals
+    # with the dense fit_curve on the design points to rounding, in the
+    # estimate and in the residuals
     pairs = []
 
     def record(pair, *args):
@@ -147,7 +149,7 @@ def test_naive_replication_level_matches_the_dense_fit(n, b_var, monkeypatch):
     assert len(pairs) == 2
     for lag, (est, *_), pair in zip((0, 1), fitted, pairs):
         prods = resid * resid if lag == 0 else resid[lag:] * resid[:-lag]
-        level = fit_at_data(prods, b_var, kern)[0]
+        level = fit_curve(prods, b_var, kern, grid=unit_grid(prods.size)).values
         t = np.arange(1, prods.size + 1) / prods.size
         inside = level[(t >= b_var) & (t <= 1.0 - b_var)]
         for got, want in ((est.curve.values, inside),

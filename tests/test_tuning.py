@@ -7,7 +7,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 from tvacov.errors import ConfigurationError, SingularDesignError, TuningError
 from tvacov.kernels import epanechnikov
 from tvacov.diffseries import difference
-from tvacov.locallinear import fit_at_data
+from tvacov.locallinear import fit_at_data, unit_grid, weight_matrix
 from tvacov.lrv import ResidualPair, lrv_curve, residuals
 from tvacov.procgen import generate, model_preset
 from tvacov.tuning import (
@@ -93,17 +93,18 @@ def test_gcv_all_candidates_fail():
 
 @pytest.mark.parametrize("model, seed", [("model1", 1), ("model3", 2)])
 def test_gcv_matches_the_dense_fit_on_model_series(model, seed):
-    # GCV fits by sliding correlations; the dense fit_at_data formula must
-    # give the same scores and the same choice on the series GCV sees
+    # GCV fits by sliding correlations; the dense hat matrix (the rows of
+    # fit_curve on unit_grid(n)) must give the same scores and the same
+    # choice on the series GCV sees
     y = generate(*model_preset(model), 800, seed)
     for v in (y.values, difference(y, 3).values):
         res = gcv_bandwidth(v)
         n = v.size
         want = np.empty(res.bandwidths.size)
         for j, b in enumerate(res.bandwidths):
-            fitted, trace = fit_at_data(v, float(b), KERN)
-            r = v - fitted
-            want[j] = np.mean(r * r) / (1.0 - trace / n) ** 2
+            H = weight_matrix(n, unit_grid(n), float(b), KERN)
+            r = v - H @ v
+            want[j] = np.mean(r * r) / (1.0 - np.trace(H) / n) ** 2
         assert_allclose(res.scores, want, rtol=1e-12)
         assert res.bandwidth == np.max(res.bandwidths[want == want.min()])
 
