@@ -16,8 +16,11 @@ pointwise long-run scale sigma_hat(t):
 
   and half-width sigma_hat(t) sqrt(phi0 / (n b)) crit times that scale.
 
-Each bootstrap draw has its own counter-derived substream, so any partition
-of the draws over workers reproduces the single-threaded quantile exactly.
+The draws come in blocks of 512, and block j is drawn row by row from the
+substream keyed by j, so draw d is a pure function of (seed, d): any
+partition of the blocks over workers reproduces the single-threaded
+quantile exactly, and asking for more draws leaves the first ones as they
+were.
 The bootstrap value depends on (n, b, grid, draws, alpha, seed) only, never
 on the data; ``tvacov estimate`` computes one per distinct (b, band grid)
 and passes it to `build_band` for every lag in that context.
@@ -60,20 +63,36 @@ __all__ = [
 ]
 
 _MIN_DRAWS = 1000
-# Draws per matrix product; bounds memory without changing any result.
+# Draws per substream and per matrix product. It defines the streams: draw d
+# is row d % _DRAW_CHUNK of the block keyed by d // _DRAW_CHUNK, so changing
+# it changes every bootstrap value. It also bounds the normals held at once
+# to (_DRAW_CHUNK x n).
 _DRAW_CHUNK = 512
 # Sup-grid rows per proxy product; each row block multiplies only the span
 # of columns its rows weight.
 _ROW_BLOCK = 400
 
 
+def _draw_blocks(draws: int):
+    """Yield the (lo, hi) draw ranges of the blocks behind ``draws`` draws."""
+    for lo in range(0, draws, _DRAW_CHUNK):
+        yield lo, min(lo + _DRAW_CHUNK, draws)
+
+
 def _draw_block(n: int, seed: int, lo: int, hi: int) -> np.ndarray:
-    """Standard normal rows for draws lo..hi-1, one substream per draw."""
-    u = np.empty((hi - lo, n))
-    for d in range(lo, hi):
-        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(d,)))
-        rng.standard_normal(n, out=u[d - lo])
-    return u
+    """Standard normal rows for draws lo..hi-1 of one block.
+
+    Block j = lo // _DRAW_CHUNK is filled in C order from the substream keyed
+    by j, so a short block is a prefix of the full one. ``lo`` must start a
+    block and ``hi`` must not pass its end.
+    """
+    j, start = divmod(lo, _DRAW_CHUNK)
+    if start or not lo < hi <= lo + _DRAW_CHUNK:
+        raise ConfigurationError(
+            f"draws {lo}..{hi} do not lie in one block of {_DRAW_CHUNK}"
+        )
+    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(j,)))
+    return rng.standard_normal((hi - lo, n))
 
 
 def _proxy_weights(
@@ -115,16 +134,15 @@ def proxy_draws(
     """Realizations of the Gaussian proxy process, shape (len(grid), draws).
 
     Column d is sum_i w_i(t) u_i^{(d)} * weight_scale on the grid, with
-    u^{(d)} drawn from the substream keyed by d. Draw d never depends on the
-    draw order or chunking.
+    u^{(d)} row d % 512 of the block drawn from the substream keyed by
+    d // 512. Draw d never depends on ``draws`` or on the draw order.
     """
     if draws < 1:
         raise ConfigurationError("need at least one draw")
     grid = np.asarray(grid, dtype=float)
     blocks = _proxy_weights(n, b, kernel, grid, weight_scale)
     out = np.empty((grid.size, draws))
-    for lo in range(0, draws, _DRAW_CHUNK):
-        hi = min(lo + _DRAW_CHUNK, draws)
+    for lo, hi in _draw_blocks(draws):
         for rows, values in _proxy_values(blocks, _draw_block(n, seed, lo, hi)):
             out[rows, lo:hi] = values
     return out
@@ -202,7 +220,8 @@ def bootstrap_quantile(
     alpha : float
         Band level is 1 - alpha.
     seed : int
-        Root seed; draw d uses the substream keyed by d.
+        Root seed; draw d is row d % 512 of the block drawn from the
+        substream keyed by d // 512.
     grid : ndarray, optional
         Sup grid; default design points within [b, 1-b].
     weight_scale : float
@@ -226,10 +245,6 @@ def bootstrap_quantile(
 
     sups = np.empty(draws)
     weights = _proxy_weights(n, b, kernel, grid, weight_scale)
-    blocks = [
-        (lo, min(lo + _DRAW_CHUNK, draws))
-        for lo in range(0, draws, _DRAW_CHUNK)
-    ]
 
     def fill(block: tuple[int, int]) -> None:
         lo, hi = block
@@ -239,13 +254,13 @@ def bootstrap_quantile(
         sups[lo:hi] = sup
 
     if threads == 1:
-        for block in blocks:
+        for block in _draw_blocks(draws):
             fill(block)
     else:
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(fill, blocks))
+            list(pool.map(fill, _draw_blocks(draws)))
     q = float(np.quantile(sups, 1.0 - alpha))
     return BootstrapQuantile(
         n=n,

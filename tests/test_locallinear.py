@@ -200,17 +200,17 @@ def test_design_fit_matches_fit_at_data():
         assert abs(got[i] - beta[0]) < 1e-10
 
 
-def test_design_fit_raises_where_fit_at_data_does():
+def _dense_fit(vals, b, kernel):
+    return fit_curve(vals, b, kernel, grid=unit_grid(vals.size))
+
+
+def test_design_fit_raises_where_dense_fit_does():
     vals = np.random.default_rng(9).normal(size=10)
-    for run in (fit_at_data, _design_fit):
+    for run in (_dense_fit, _design_fit):
         with pytest.raises(SingularDesignError, match="engages 1 points"):
             run(vals, 0.01, KERN)
     with pytest.raises(ConfigurationError):
         _design_fit(vals, 0.5, KERN)
-
-
-def _dense_fit(vals, b, kernel):
-    return fit_curve(vals, b, kernel, grid=unit_grid(vals.size))
 
 
 def _rejection(run, vals, b):
@@ -268,9 +268,9 @@ def test_every_path_gives_the_same_window_error():
 
 def _chunked_outputs(vals, grid, b):
     res = ResidualPair(eps=np.column_stack([vals, vals[::-1]]), lags=(3, 1))
-    fitted, trace = fit_at_data(vals, b, KERN)
+    hat = weight_matrix(vals.size, unit_grid(vals.size), b, KERN)
     curve = fit_curve(vals, b, KERN, grid=grid, with_slope=True)
-    return [curve.values, curve.slope, fitted, trace,
+    return [curve.values, curve.slope, hat @ vals, np.trace(hat),
             weight_matrix(vals.size, grid, b, KERN),
             lrv_curve(res, 3, b, KERN, grid=grid).matrices]
 

@@ -71,14 +71,18 @@ def test_band_limited_product_matches_dense_weights(n, b, grid_kind):
     assert_allclose(np.abs(got).max(axis=0), sup, rtol=1e-13, atol=0)
 
 
-def test_draw_rows_match_column_fill():
-    # row d of a block is the substream keyed by d, drawn whole
-    n, seed, lo, hi = 97, 21, 512, 530
-    ref = np.empty((n, hi - lo))
-    for d in range(lo, hi):
-        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(d,)))
-        ref[:, d - lo] = rng.standard_normal(n)
-    assert_array_equal(scb._draw_block(n, seed, lo, hi), ref.T)
+def test_draw_block_is_a_prefix_of_its_keyed_stream():
+    # draws lo..hi-1 are rows of block j = lo // 512, drawn in C order from
+    # the substream keyed by j, so a short block is a prefix of the full one
+    n, seed = 97, 21
+    for lo, hi in ((512, 530), (512, 1024), (0, 1)):
+        rng = np.random.default_rng(
+            np.random.SeedSequence(seed, spawn_key=(lo // 512,)))
+        full = rng.standard_normal((512, n))
+        assert_array_equal(scb._draw_block(n, seed, lo, hi), full[:hi - lo])
+    for lo, hi in ((1, 10), (500, 520), (512, 512), (0, 513)):
+        with pytest.raises(ConfigurationError, match="one block"):
+            scb._draw_block(n, seed, lo, hi)
 
 
 def test_quantile_interval_covers_and_narrows():
